@@ -173,19 +173,20 @@ def amplification_operator(
     return SparseState(state.layout, state._vals, -state._amps)
 
 
-def boost_from_half(program: ReversibleProgram, good: GoodPredicate) -> BoostResult:
-    """One amplification with phases i, exact when the good mass is 1/2."""
+def _boost(program: ReversibleProgram, good: GoodPredicate, phase: complex, expected_mass: float) -> BoostResult:
+    """One amplification with both phases equal, gated on the expected good mass."""
     prepared = program.run()
     before = good_mass(prepared, good)
-    boosted = amplification_operator(program, good, 1j, 1j, prepared)
+    boosted = amplification_operator(program, good, phase, phase, prepared)
     after = good_mass(boosted, good)
-    return BoostResult(boosted, before, after, abs(before - 0.5) <= MASS_TOL)
+    return BoostResult(boosted, before, after, abs(before - expected_mass) <= MASS_TOL)
+
+
+def boost_from_half(program: ReversibleProgram, good: GoodPredicate) -> BoostResult:
+    """One amplification with phases i, exact when the good mass is 1/2."""
+    return _boost(program, good, 1j, 0.5)
 
 
 def boost_from_quarter(program: ReversibleProgram, good: GoodPredicate) -> BoostResult:
     """One amplification with phases -1, exact when the good mass is 1/4."""
-    prepared = program.run()
-    before = good_mass(prepared, good)
-    boosted = amplification_operator(program, good, -1, -1, prepared)
-    after = good_mass(boosted, good)
-    return BoostResult(boosted, before, after, abs(before - 0.25) <= MASS_TOL)
+    return _boost(program, good, -1, 0.25)

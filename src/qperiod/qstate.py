@@ -387,16 +387,8 @@ def _walk(cum: np.ndarray, rng: np.random.Generator) -> int:
 
 def measure(state: SparseState, reg: str, rng: np.random.Generator) -> tuple[int, SparseState]:
     """Sample one register from its exact marginal and collapse the state."""
-    col = state._col(reg)
-    outcomes, inv = np.unique(state._vals[:, col], return_inverse=True)
-    probs = state.probabilities()
-    mass = np.zeros(len(outcomes))
-    np.add.at(mass, inv, probs)
-    pick = _walk(np.cumsum(mass), rng)
-    outcome = int(outcomes[pick])
-    keep = inv == pick
-    amps = state._amps[keep] / math.sqrt(float(mass[pick]))
-    return outcome, state._replace(state._vals[keep], amps)
+    (outcome,), post = measure_joint(state, (reg,), rng)
+    return outcome, post
 
 
 def measure_joint(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qperiod.factorint import (
     NoQuantumSplitNeeded,
+    _perfect_power,
     decode_set,
     encode_set,
     factorize,
@@ -203,3 +204,25 @@ def test_factorize_property(n, seed):
     assert math.prod(result.factors) == n
     assert all(is_prime(p) for p in result.factors)
     assert tuple(sorted(result.factors)) == result.factors
+
+
+class TestLargePowers:
+    """Inputs whose size once broke the float root or the per-two recursion."""
+
+    def test_power_of_two_beyond_recursion_limit(self):
+        assert factorize(2**1000).factors == (2,) * 1000
+
+    def test_odd_cofactor_after_many_twos(self):
+        assert factorize(3 * 2**5000).factors == (2,) * 5000 + (3,)
+
+    def test_square_of_prime_above_two_to_64(self):
+        p = 2**64 + 13
+        assert is_prime(p)
+        assert _perfect_power(p * p) == (p, 2)
+
+    def test_power_too_large_for_a_float(self):
+        assert factorize(3**700).factors == (3,) * 700
+
+    def test_square_of_mersenne_prime(self):
+        p = 2**521 - 1
+        assert factorize(p * p).factors == (p, p)

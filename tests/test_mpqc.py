@@ -12,6 +12,7 @@ from qperiod.mpqc import (
     KIND_HANDOFF,
     KIND_INT,
     ProtocolError,
+    _mask_secret,
     _shares_from_masks,
     divisibility_vote,
     gcd_protocol,
@@ -19,6 +20,14 @@ from qperiod.mpqc import (
     leakage_audit,
     psi_protocol,
     psu_protocol,
+)
+from qperiod.qstate import (
+    ClassicalOracle,
+    RegisterLayout,
+    apply_oracle,
+    controlled_subtract,
+    uniform_prep,
+    zero_state,
 )
 
 
@@ -277,3 +286,50 @@ class TestRejectPath:
             assert res.accept
             assert res.output == 36  # single invocation succeeds on every seed
             assert res.repetitions == 0
+
+
+@pytest.mark.parametrize("secrets, m_bits", [([2, 3], 2), ([3, 4], 3), ([2, 3, 4], 3), ([4, 6], 5), ([5, 6, 7], 4)])
+def test_literal_prep_pass_leaves_copy_register_at_zero(secrets, m_bits):
+    """Test oracle for the logged prep pass: run it on the simulator.
+
+    P_0 copies h into t, each party accumulates x mod r_i into e_i from t,
+    and the copy is uncomputed; t must then be |0> on every branch.
+    """
+    rng = np.random.default_rng(sum(secrets))
+    k = math.prod(_mask_secret(x, m_bits, rng) for x in secrets)
+    layout = RegisterLayout.of(("h", k), ("t", k), *[(f"e{i}", 1 << m_bits) for i in range(len(secrets))])
+    state = uniform_prep(zero_state(layout), "h")
+    state = controlled_subtract(state, "h", "t", inverse=True)  # |j>|0> -> |j>|j>
+    for i, x in enumerate(secrets):
+        state = apply_oracle(state, ClassicalOracle(("t",), f"e{i}", lambda v, r=x: v % r))
+    state = controlled_subtract(state, "h", "t")
+
+    t_marginal: dict[int, float] = {}
+    for t_val, p in zip(state.values_column("t").tolist(), state.probabilities()):
+        t_marginal[t_val] = t_marginal.get(t_val, 0.0) + p
+    assert list(t_marginal) == [0]
+    assert t_marginal[0] == pytest.approx(1.0, abs=1e-9)
+    h = state.values_column("h")
+    assert sorted(h.tolist()) == list(range(k))
+    for i, x in enumerate(secrets):
+        assert np.array_equal(state.values_column(f"e{i}"), h % x)
+
+
+@pytest.mark.parametrize("m_bits, small_modulus", [(5, True), (7, False)])
+def test_prep_pass_seam_called_once_for_every_modulus(monkeypatch, m_bits, small_modulus):
+    import qperiod.mpqc as mpqc_mod
+
+    calls = []
+    real = mpqc_mod._simulate_prep_pass
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpqc_mod, "_simulate_prep_pass", counting)
+    res = lcm_protocol([3, 4, 5], m_bits, seed=0)
+    k = next(m.payload["value"] for m in res.transcript.messages if m.payload.get("role") == "modulus-broadcast")
+    assert (k <= 1 << 18) == small_modulus
+    assert len(calls) == 1
+    assert res.accept and res.output == 60
+    assert res.counters["rounds"] == 3 * res.counters["oracle_passes"]
