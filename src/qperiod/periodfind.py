@@ -52,6 +52,10 @@ MASS_TOL = 1e-9
 # int64 are guarded where they are formed (r*m and d*k bounds).
 _MAX_MODULUS = 1 << 40
 
+# Largest period _analyze scans for: its forward scan, the values it keeps
+# and the in-period sort all grow with the period.
+_MAX_PERIOD = 1 << 24
+
 
 class PromiseViolation(ValueError):
     """The function does not satisfy the exact-period promise."""
@@ -110,36 +114,41 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     """Detect the exact period of ``f`` and verify the promise.
 
     Under the promise, f(j) first revisits f(0) at j = r exactly, so a
-    forward scan finds r with r evaluations.  The both-way promise is then
-    verified exhaustively for moduli up to 4096 and on fixed spot points
+    forward scan finds r with r evaluations; a scan that passes
+    ``_MAX_PERIOD`` points raises :class:`ValueError`.  The scanned values
+    cover one period, which is checked for a repeated value.  Periodicity
+    is verified exhaustively for moduli up to 4096 and on fixed spot points
     beyond that.
     """
     m = f.modulus
-    f0 = int(np.asarray(f(np.array([0]))).ravel()[0])
+    scanned = [np.asarray(f(np.array([0]))).ravel()]
+    f0 = int(scanned[0][0])
     r = m
     start, chunk = 1, 4096
     while start < m:
-        xs = np.arange(start, min(start + chunk, m), dtype=np.int64)
-        hits = np.nonzero(np.asarray(f(xs)) == f0)[0]
+        if start > _MAX_PERIOD:
+            raise ValueError(f"period exceeds the budget of {_MAX_PERIOD} points")
+        part = np.asarray(f(np.arange(start, min(start + chunk, m), dtype=np.int64)))
+        scanned.append(part)
+        hits = np.nonzero(part == f0)[0]
         if hits.size:
             r = start + int(hits[0])
             break
         start += chunk
     if m % r:
         raise PromiseViolation(f"detected period {r} does not divide modulus {m}")
+    vals = np.concatenate(scanned)  # f on [0, r) at least; all of [0, m) when m <= 4096
     if m <= 4096:
-        xs = np.arange(m, dtype=np.int64)
-        vals = np.asarray(f(xs))
-        if not np.array_equal(vals, vals[xs % r]):
+        if not np.array_equal(vals, vals[np.arange(m) % r]):
             raise PromiseViolation("function is not periodic with the detected period")
-        if len(np.unique(vals[:r])) != r:
-            raise PromiseViolation("function repeats a value inside one period")
     else:
         probe = np.random.default_rng(0x5EED).integers(0, m, size=64)
         if not np.array_equal(np.asarray(f(probe)), np.asarray(f(probe % r))):
             raise PromiseViolation("function is not periodic with the detected period")
-        if len(np.unique(np.asarray(f(np.arange(r, dtype=np.int64))))) != r:
-            raise PromiseViolation("function repeats a value inside one period")
+    in_period = vals[:r]
+    in_period.sort()  # vals is a fresh array; sorting in place saves a copy of r values
+    if np.any(in_period[1:] == in_period[:-1]):
+        raise PromiseViolation("function repeats a value inside one period")
     return _Structure(m, r)
 
 
@@ -270,7 +279,10 @@ class _BlockSampler:
     The prepared state is uniform over 2r blocks (r support indices times
     the coin), the boost acts by two scalar factors (good/bad), and the
     measured triple follows the same lexicographic walk the sparse path
-    uses, with a single rng draw.
+    uses, with a single rng draw.  The rep of support index t is
+    step*((t*d) mod r), which has period r' = r/gcd(d, r) in t, so the 2r
+    outcomes are g = gcd(d, r) copies of one run of 2r' and an iteration
+    costs O(r').
     """
 
     def __init__(self, structure: _Structure):
@@ -279,16 +291,18 @@ class _BlockSampler:
         self.step = self.m // self.r
         if self.r * self.m >= (1 << 62):
             raise ValueError("support-index products would overflow int64")
-        self._t = np.arange(self.r, dtype=np.int64)
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
         m, r = self.m, self.r
-        reps = (self._t * ((self.step * d) % m)) % m
+        g = math.gcd(d, r)
+        rb = r // g
+        t = np.arange(rb, dtype=np.int64)
+        reps = (t * ((self.step * d) % m)) % m
         threshold = (1 << j) if j >= 0 else 0
-        good = np.empty((r, 2), dtype=bool)
+        good = np.empty((rb, 2), dtype=bool)
         good[:, 0] = 2 * reps >= m
         good[:, 1] = good[:, 0] | ((reps > 0) & (reps <= threshold))
-        a = good.sum() / (2 * r)
+        a = good.sum() / (2 * rb)  # the same ratio, correctly rounded, as over all 2r
         # Q = -A S0 A^{-1} S_good with both phases i; A S0 A^{-1} is a
         # rank-one correction about the prepared state, so uniform good/bad
         # coordinates stay uniform and only two factors matter.
@@ -299,10 +313,12 @@ class _BlockSampler:
         p_bad = abs(factor_bad) ** 2 / (2 * r)
         probs = np.where(good, p_good, p_bad).ravel()
         cum = np.cumsum(probs)
-        target = rng.random() * cum[-1]
-        idx = min(int(np.searchsorted(cum, target, side="right")), 2 * r - 1)
-        t, b = divmod(idx, 2)
-        return int(self._t[t] * self.step), b, int(good[t, b]), float(a)
+        run = cum[-1]
+        target = rng.random() * (g * run)
+        q = min(int(target // run), g - 1)
+        idx = min(int(np.searchsorted(cum, target - q * run, side="right")), 2 * rb - 1)
+        t_run, b = divmod(idx, 2)
+        return int((q * rb + t_run) * self.step), b, int(good[t_run, b]), float(a)
 
 
 class _ProgramSampler:

@@ -217,3 +217,11 @@ def test_protocol_reject_exits_three(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "lcm", "--inputs", "4,6", "--bits", "5")
     assert code == 3
     assert json.loads(out)["output"] is None
+
+
+def test_lcm_period_past_budget_exits_two(capsys):
+    # lcm(251, 241, 239, 233) ~ 3.4e9 is past the 2^24-point period budget
+    code, out, err = run_cli(capsys, "lcm", "--inputs", "251,241,239,233", "--bits", "8")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err

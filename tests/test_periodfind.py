@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperiod.periodfind import (
@@ -18,6 +18,7 @@ from qperiod.periodfind import (
     rep,
     standard_qpa,
 )
+from qperiod.periodfind import _BlockSampler, _Structure
 from qperiod.qstate import good_mass
 
 
@@ -285,3 +286,92 @@ def test_eqpa_equals_brute_force_property(r, c, seed):
     f = PeriodicFunction.modular(r, r * c)
     period, _ = eqpa(f, np.random.default_rng(seed))
     assert period == brute_force_period(f, r * c)
+
+
+# ---------------------------------------------------------------------------
+# the block sampler against its full-length form, and the promise paths
+
+
+def _full_length_sample(m, r, d, j, rng):
+    """The block sampler's walk over all 2r outcomes, kept as the reference."""
+    step = m // r
+    ts = np.arange(r, dtype=np.int64)
+    reps = (ts * ((step * d) % m)) % m
+    threshold = (1 << j) if j >= 0 else 0
+    good = np.empty((r, 2), dtype=bool)
+    good[:, 0] = 2 * reps >= m
+    good[:, 1] = good[:, 0] | ((reps > 0) & (reps <= threshold))
+    a = good.sum() / (2 * r)
+    ip = (1.0 - a) + 1j * a
+    factor_good = -(1j + (1j - 1.0) * ip)
+    factor_bad = -(1.0 + (1j - 1.0) * ip)
+    p_good = abs(factor_good) ** 2 / (2 * r)
+    p_bad = abs(factor_bad) ** 2 / (2 * r)
+    probs = np.where(good, p_good, p_bad).ravel()
+    cum = np.cumsum(probs)
+    target = rng.random() * cum[-1]
+    idx = min(int(np.searchsorted(cum, target, side="right")), 2 * r - 1)
+    t, b = divmod(idx, 2)
+    return int(ts[t] * step), b, int(good[t, b]), float(a)
+
+
+@st.composite
+def _sampler_cases(draw):
+    r = draw(st.integers(1, 1 << 14))
+    m = r * draw(st.integers(1, 8))
+    d = draw(st.sampled_from([x for x in range(1, math.isqrt(m) + 1) if m % x == 0]))
+    d = draw(st.sampled_from(sorted({d, m // d})))
+    j = draw(st.integers(-1, m.bit_length() - 1))
+    return m, r, d, j, draw(st.integers(0, 2**32 - 1))
+
+
+def test_block_sampler_matches_full_length_walk():
+    run_lengths = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sampler_cases())
+    @example(case=(48, 12, 4, 2, 5))  # r' = 3
+    @example(case=(40, 20, 10, -1, 1))  # r' = 2
+    def check(case):
+        m, r, d, j, seed = case
+        got = _BlockSampler(_Structure(m, r)).sample(d, j, np.random.default_rng(seed))
+        want = _full_length_sample(m, r, d, j, np.random.default_rng(seed))
+        assert got[:3] == want[:3]
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+        run_lengths.append((r // math.gcd(d, r), r))
+
+    check()
+    assert any(1 < rb < r for rb, r in run_lengths)
+
+
+def test_in_period_collision_rejected_on_sampled_branch():
+    # m > 4096 checks periodicity on spot points only; the in-period
+    # uniqueness check must still see f(r-2) == f(r-1)
+    r, m = 5000, 10000
+    table = np.arange(m) % r
+    table[table == r - 1] = r - 2
+    with pytest.raises(PromiseViolation, match="repeats a value"):
+        eqpa(PeriodicFunction.from_table(table), np.random.default_rng(0))
+
+
+def test_engines_agree_on_generic_permutation():
+    r, m = 12, 48
+    perm = np.random.default_rng(12).permutation(r)
+    f = PeriodicFunction.from_table(perm[np.arange(m) % r])
+    divisors = set()
+    for seed in range(4):  # seeds 0 and 3 pass through d = 4, 2 and 6
+        p1, t1 = eqpa(f, np.random.default_rng(seed), engine="block")
+        p2, t2 = eqpa(f, np.random.default_rng(seed), engine="program")
+        assert p1 == p2 == r
+        for a, b in zip(t1.records, t2.records, strict=True):
+            assert (a.j, a.k, a.b, a.chi, a.d_after) == (b.j, b.k, b.b, b.chi, b.d_after)
+            assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
+            divisors.add(a.d_before)
+    assert {2, 4, 6} <= divisors
+
+
+def test_period_past_budget_is_a_value_error():
+    f = PeriodicFunction.modular(1 << 25, 1 << 26)
+    with pytest.raises(ValueError, match="budget of 16777216 points") as info:
+        eqpa(f, np.random.default_rng(0))
+    assert not isinstance(info.value, PromiseViolation)
