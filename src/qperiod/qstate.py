@@ -28,6 +28,9 @@ NORM_TOL = 1e-9
 # this is beyond desk scale anyway.
 _MAX_DFT_DIM = 1 << 31
 _MAX_DFT_OUTPUT = 1 << 22
+# dft transforms equal-length groups in 2-D batches of at most this many
+# cells, which bounds its scratch memory.
+_DFT_CHUNK_CELLS = 1 << 12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -297,6 +300,21 @@ def zero_predicate(layout: RegisterLayout) -> GoodPredicate:
     return GoodPredicate(layout.names, all_zero, name="zero")
 
 
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a non-empty 2-D array with one stable sort.
+
+    Returns ``(order, starts)``: group g holds the row indices
+    ``order[starts[g]:starts[g + 1]]`` (the last group runs to the end) in
+    ascending order, and the groups follow the lexicographic order of their
+    rows, the order ``np.unique(keys, axis=0)`` gives.
+    """
+    n = keys.shape[0]
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n)
+    srt = keys[order]
+    new = np.any(srt[1:] != srt[:-1], axis=1)
+    return order, np.flatnonzero(np.concatenate(([True], new)))
+
+
 def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     """Exact discrete Fourier transform over Z_d on one register.
 
@@ -306,67 +324,76 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     arithmetic progression ``a + p*s`` with ``p | d`` (p is the gcd of the
     offsets and d), so the transform reduces to a length-(d/p) FFT plus an
     exact twiddle whose angle is reduced modulo d before any trigonometry.
-    Outputs below ``PRUNE_EPS`` are dropped.
+    Groups of equal length are transformed together, one 2-D FFT per chunk
+    of at most ``_DFT_CHUNK_CELLS`` cells.  Outputs below ``PRUNE_EPS`` are
+    dropped; the output lists the groups in lexicographic order of the other
+    registers, each group's outputs by spectrum bin, then by copy.
     """
     col = state._col(reg)
     d = state.layout.dims[col]
-    if d == 1:
-        return state._replace(state._vals.copy(), state._amps.copy())
+    n = state.num_entries
     if d > _MAX_DFT_DIM:
         raise QStateError(f"register dimension {d} too large for exact DFT")
+    if d == 1 or n == 0:
+        return state._replace(state._vals.copy(), state._amps.copy())
 
-    others = np.delete(state._vals, col, axis=1)
-    if others.shape[1] == 0 or state.num_entries == 1:
-        group_rows = [np.arange(state.num_entries)]
-        group_keys = [others[:1]]
-    else:
-        uniq, inv = np.unique(others, axis=0, return_inverse=True)
-        inv = np.asarray(inv).reshape(-1)
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
-        group_rows = [order[bounds[i] : bounds[i + 1]] for i in range(len(uniq))]
-        group_keys = [uniq[i : i + 1] for i in range(len(uniq))]
+    order, starts = _group_rows(np.delete(state._vals, col, axis=1))
+    sizes = np.diff(starts, append=n)
+    j = state._vals[order, col]
+    amp = state._amps[order]
+    a0 = np.minimum.reduceat(j, starts)
+    diffs = j - np.repeat(a0, sizes)
+    p = np.gcd(np.gcd.reduceat(diffs, starts), d)  # gcd(0, d) == d for single entries
+    length = d // p
+    pos = diffs // np.repeat(p, sizes)
 
+    # Pass 1: transform the groups bucket by bucket of equal length and keep
+    # each group's bins above the cut, with their rank inside the group.
+    by_len = np.argsort(length, kind="stable")
+    run_end = np.cumsum(sizes[by_len])  # the groups' entries laid out in by_len order
+    run_start = run_end - sizes[by_len]
+    entry = np.repeat(starts[by_len] - run_start, sizes[by_len]) + np.arange(n)
+    cut = PRUNE_EPS * math.sqrt(d)
+    counts = np.zeros(len(starts), dtype=np.int64)
+    kept = []
+    lens, firsts = np.unique(length[by_len], return_index=True)
+    for L, lo, hi in zip(lens.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(starts)]):
+        per = max(1, _DFT_CHUNK_CELLS // L)
+        for q in range(lo, hi, per):
+            q_end = min(q + per, hi)
+            groups = by_len[q:q_end]
+            rows = entry[run_start[q] : run_end[q_end - 1]]
+            mat = np.zeros((len(groups), L), dtype=np.complex128)
+            mat[np.repeat(np.arange(len(groups)), sizes[groups]), pos[rows]] = amp[rows]
+            spectrum = np.fft.fft(mat, axis=1) if inverse else L * np.fft.ifft(mat, axis=1)
+            mask = np.abs(spectrum) > cut
+            per_row = np.count_nonzero(mask, axis=1)
+            counts[groups] = per_row
+            r_idx, bins = np.nonzero(mask)
+            rank = np.arange(len(r_idx)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+            kept.append((L, groups[r_idx], rank, bins, spectrum[r_idx, bins]))
+
+    # Pass 2: each kept bin b of a group yields the d/L outputs c = b + L*t,
+    # written straight to the group's block of the preallocated output.
+    out_sizes = counts * p
+    total = int(out_sizes.sum())
+    if total > _MAX_DFT_OUTPUT:
+        raise QStateError("DFT output exceeds sparse capacity")
+    offset = np.cumsum(out_sizes) - out_sizes
+    vals = np.repeat(state._vals[order[starts]], out_sizes, axis=0)
+    amps = np.empty(total, dtype=np.complex128)
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    out_vals: list[np.ndarray] = []
-    out_amps: list[np.ndarray] = []
-    total_out = 0
-    for rows, key in zip(group_rows, group_keys):
-        j = state._vals[rows, col]
-        amp = state._amps[rows]
-        a0 = int(j.min())
-        diffs = j - a0
-        step = int(np.gcd.reduce(diffs)) if len(j) > 1 else 0
-        p = math.gcd(step, d)  # gcd(0, d) == d covers the single-entry group
-        length = d // p
-        vec = np.zeros(length, dtype=np.complex128)
-        vec[diffs // p] = amp
-        spectrum = np.fft.fft(vec) if inverse else length * np.fft.ifft(vec)
-        bins = np.nonzero(np.abs(spectrum) > PRUNE_EPS * math.sqrt(d))[0]
-        if bins.size == 0:
-            continue
-        total_out += bins.size * p
-        if total_out > _MAX_DFT_OUTPUT:
-            raise QStateError("DFT output exceeds sparse capacity")
-        cs = (bins[:, None] + length * np.arange(p, dtype=np.int64)[None, :]).ravel()
-        expo = (cs * a0) % d
+    for L, g, rank, bins, spec in kept:
+        t = np.arange(d // L)
+        cs = bins[:, None] + L * t
+        expo = (cs * a0[g][:, None]) % d
         if inverse:
             expo = (d - expo) % d
         twiddle = np.exp((_TWO_PI / d) * 1j * expo)
-        amps_out = np.repeat(spectrum[bins], p) * twiddle * inv_sqrt_d
-        vals_out = np.empty((cs.size, state._vals.shape[1]), dtype=np.int64)
-        vals_out[:, :col] = key[0, :col]
-        vals_out[:, col] = cs
-        vals_out[:, col + 1 :] = key[0, col:]
-        out_vals.append(vals_out)
-        out_amps.append(amps_out)
-
-    if not out_vals:
-        return state._replace(
-            np.empty((0, state._vals.shape[1]), dtype=np.int64),
-            np.empty(0, dtype=np.complex128),
-        )
-    return state._replace(np.concatenate(out_vals), np.concatenate(out_amps))
+        dest = (offset[g] + rank * (d // L))[:, None] + t
+        amps[dest] = spec[:, None] * twiddle * inv_sqrt_d
+        vals[dest, col] = cs
+    return state._replace(vals, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +423,15 @@ def measure_joint(
 ) -> tuple[tuple[int, ...], SparseState]:
     """Jointly sample several registers with a single rng draw."""
     cols = [state._col(r) for r in regs]
+    if state.num_entries == 0:
+        raise QStateError("cannot measure a state with no entries")
     sub = state._vals[:, cols]
-    uniq, inv = np.unique(sub, axis=0, return_inverse=True)
-    inv = np.asarray(inv).reshape(-1)
-    probs = state.probabilities()
-    mass = np.zeros(len(uniq))
-    np.add.at(mass, inv, probs)
+    order, starts = _group_rows(sub)
+    group = np.empty(state.num_entries, dtype=np.int64)
+    group[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    mass = np.bincount(group, weights=state.probabilities(), minlength=len(starts))
     pick = _walk(np.cumsum(mass), rng)
-    outcome = tuple(int(v) for v in uniq[pick])
-    keep = inv == pick
+    outcome = tuple(int(v) for v in sub[order[starts[pick]]])
+    keep = group == pick
     amps = state._amps[keep] / math.sqrt(float(mass[pick]))
     return outcome, state._replace(state._vals[keep], amps)

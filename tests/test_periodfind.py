@@ -375,3 +375,16 @@ def test_period_past_budget_is_a_value_error():
     with pytest.raises(ValueError, match="budget of 16777216 points") as info:
         eqpa(f, np.random.default_rng(0))
     assert not isinstance(info.value, PromiseViolation)
+
+
+@pytest.mark.parametrize("r, m", [(64, 256), (96, 384)])
+def test_engines_agree_on_wider_generic_permutations(r, m):
+    perm = np.random.default_rng(r).permutation(r)
+    f = PeriodicFunction.from_table(perm[np.arange(m) % r])
+    for seed in range(2):
+        p1, t1 = eqpa(f, np.random.default_rng(seed), engine="block")
+        p2, t2 = eqpa(f, np.random.default_rng(seed), engine="program")
+        assert p1 == p2 == r
+        for a, b in zip(t1.records, t2.records, strict=True):
+            assert (a.k, a.b, a.chi, a.d_before, a.d_after) == (b.k, b.b, b.chi, b.d_before, b.d_after)
+            assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)

@@ -1,10 +1,12 @@
 """Unit tests for the sparse qudit state and its primitive operations."""
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperiod.qstate import (
@@ -23,6 +25,14 @@ from qperiod.qstate import (
     phase_flip,
     uniform_prep,
     zero_state,
+)
+from qperiod.qstate import (
+    _DFT_CHUNK_CELLS,
+    _MAX_DFT_DIM,
+    _MAX_DFT_OUTPUT,
+    _TWO_PI,
+    PRUNE_EPS,
+    _walk,
 )
 
 
@@ -333,3 +343,223 @@ def test_measure_marginal_equals_single_outcome_good_mass():
         pred = GoodPredicate(("h",), lambda h, v=v: h == v)
         direct = sum(abs(amp) ** 2 for values, amp in entries if values[0] == v)
         assert good_mass(s, pred) == pytest.approx(direct, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched dft and the sort-based grouping against their loop forms
+
+
+def reference_dft(state, reg, inverse=False):
+    """The per-group loop dft ran before it was batched, kept as the reference."""
+    col = state._col(reg)
+    d = state.layout.dims[col]
+    if d == 1:
+        return state._replace(state._vals.copy(), state._amps.copy())
+    if d > _MAX_DFT_DIM:
+        raise QStateError(f"register dimension {d} too large for exact DFT")
+
+    others = np.delete(state._vals, col, axis=1)
+    if others.shape[1] == 0 or state.num_entries == 1:
+        group_rows = [np.arange(state.num_entries)]
+        group_keys = [others[:1]]
+    else:
+        uniq, inv = np.unique(others, axis=0, return_inverse=True)
+        inv = np.asarray(inv).reshape(-1)
+        order = np.argsort(inv, kind="stable")
+        bounds = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
+        group_rows = [order[bounds[i] : bounds[i + 1]] for i in range(len(uniq))]
+        group_keys = [uniq[i : i + 1] for i in range(len(uniq))]
+
+    inv_sqrt_d = 1.0 / math.sqrt(d)
+    out_vals: list[np.ndarray] = []
+    out_amps: list[np.ndarray] = []
+    total_out = 0
+    for rows, key in zip(group_rows, group_keys):
+        j = state._vals[rows, col]
+        amp = state._amps[rows]
+        a0 = int(j.min())
+        diffs = j - a0
+        step = int(np.gcd.reduce(diffs)) if len(j) > 1 else 0
+        p = math.gcd(step, d)  # gcd(0, d) == d covers the single-entry group
+        length = d // p
+        vec = np.zeros(length, dtype=np.complex128)
+        vec[diffs // p] = amp
+        spectrum = np.fft.fft(vec) if inverse else length * np.fft.ifft(vec)
+        bins = np.nonzero(np.abs(spectrum) > PRUNE_EPS * math.sqrt(d))[0]
+        if bins.size == 0:
+            continue
+        total_out += bins.size * p
+        if total_out > _MAX_DFT_OUTPUT:
+            raise QStateError("DFT output exceeds sparse capacity")
+        cs = (bins[:, None] + length * np.arange(p, dtype=np.int64)[None, :]).ravel()
+        expo = (cs * a0) % d
+        if inverse:
+            expo = (d - expo) % d
+        twiddle = np.exp((_TWO_PI / d) * 1j * expo)
+        amps_out = np.repeat(spectrum[bins], p) * twiddle * inv_sqrt_d
+        vals_out = np.empty((cs.size, state._vals.shape[1]), dtype=np.int64)
+        vals_out[:, :col] = key[0, :col]
+        vals_out[:, col] = cs
+        vals_out[:, col + 1 :] = key[0, col:]
+        out_vals.append(vals_out)
+        out_amps.append(amps_out)
+
+    if not out_vals:
+        return state._replace(
+            np.empty((0, state._vals.shape[1]), dtype=np.int64),
+            np.empty(0, dtype=np.complex128),
+        )
+    return state._replace(np.concatenate(out_vals), np.concatenate(out_amps))
+
+
+def reference_measure_joint(state, regs, rng):
+    """measure_joint as it grouped rows with np.unique, kept as the reference."""
+    cols = [state._col(r) for r in regs]
+    sub = state._vals[:, cols]
+    uniq, inv = np.unique(sub, axis=0, return_inverse=True)
+    inv = np.asarray(inv).reshape(-1)
+    probs = state.probabilities()
+    mass = np.zeros(len(uniq))
+    np.add.at(mass, inv, probs)
+    pick = _walk(np.cumsum(mass), rng)
+    outcome = tuple(int(v) for v in uniq[pick])
+    keep = inv == pick
+    amps = state._amps[keep] / math.sqrt(float(mass[pick]))
+    return outcome, state._replace(state._vals[keep], amps)
+
+
+def random_sparse_state(dims, n, seed, stride=1):
+    """Up to n distinct random basis rows in random order, with random amplitudes.
+
+    All rows are taken when n reaches the joint dimension.  The first
+    register's values are rounded down to multiples of ``stride``, so its
+    groups lie on coarser progressions.
+    """
+    rng = np.random.default_rng(seed)
+    total = math.prod(dims)
+    flat = rng.choice(total, size=min(n, total), replace=False)
+    rows = np.column_stack(np.unravel_index(flat, dims)).astype(np.int64)
+    rows[:, 0] -= rows[:, 0] % stride
+    rows = np.unique(rows, axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    lay = RegisterLayout.of(*((f"r{i}", d) for i, d in enumerate(dims)))
+    return SparseState(lay, rows, amps / np.linalg.norm(amps))
+
+
+def assert_same_state(got, want):
+    assert got.layout == want.layout
+    np.testing.assert_array_equal(got._vals, want._vals)
+    assert got._amps.view(float).tobytes() == want._amps.view(float).tobytes()
+
+
+def group_lengths(state, col):
+    """(entries, transform length) of every group dft forms on one column."""
+    d = state.layout.dims[col]
+    others = np.delete(state._vals, col, axis=1)
+    inv = np.unique(others, axis=0, return_inverse=True)[1].reshape(-1)
+    out = []
+    for g in range(inv.max() + 1):
+        j = state._vals[inv == g, col]
+        out.append((len(j), d // math.gcd(int(np.gcd.reduce(j - j.min())), d)))
+    return out
+
+
+@st.composite
+def _dft_cases(draw):
+    dims = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    n = draw(st.integers(1, 3000))
+    stride = draw(st.integers(1, dims[0]))
+    col = draw(st.integers(0, len(dims) - 1))
+    return dims, n, draw(st.integers(0, 2**32 - 1)), stride, col, draw(st.booleans())
+
+
+def test_dft_matches_per_group_loop():
+    seen = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_dft_cases())
+    @example(case=([64, 64, 2], 8192, 1, 1, 0, False))  # 128 groups of length 64
+    @example(case=([12, 64], 200, 2, 2, 0, True))  # lengths 1, 2, 3 and 6 in one call
+    def check(case):
+        dims, n, seed, stride, col, inverse = case
+        state = random_sparse_state(dims, n, seed, stride)
+        reg = f"r{col}"
+        assert_same_state(dft(state, reg, inverse), reference_dft(state, reg, inverse))
+        if dims[col] > 1:
+            seen.append(group_lengths(state, col))
+
+    check()
+    assert any(size == 1 for groups in seen for size, _ in groups)
+    assert any(len({L for _, L in groups}) >= 3 for groups in seen)
+    bucket_cells = [L * k for groups in seen for L, k in Counter(L for _, L in groups).items()]
+    assert max(bucket_cells) > _DFT_CHUNK_CELLS  # some bucket spans two chunks
+
+
+def test_dft_of_empty_state_is_empty():
+    for dims in [(5,), (5, 3)]:
+        lay = RegisterLayout.of(*((f"r{i}", d) for i, d in enumerate(dims)))
+        empty = SparseState(lay, np.empty((0, len(dims)), dtype=np.int64), np.empty(0))
+        for inverse in (False, True):
+            out = dft(empty, "r0", inverse)
+            assert out.layout == lay and out.num_entries == 0
+
+
+def test_dft_rejects_register_above_exact_limit():
+    state = basis_state(RegisterLayout.of(("h", _MAX_DFT_DIM + 1)), (0,))
+    with pytest.raises(QStateError, match="too large for exact DFT"):
+        dft(state, "h")
+
+
+def test_dft_output_cap_raises_before_allocating():
+    # one entry in a 2^23 register spreads over 2^23 > _MAX_DFT_OUTPUT outputs,
+    # 192 MiB of rows and amplitudes had they been allocated
+    d = 1 << 23
+    assert d > _MAX_DFT_OUTPUT
+    state = basis_state(RegisterLayout.of(("h", d), ("e", 3)), (5, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QStateError, match="exceeds sparse capacity"):
+            dft(state, "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@st.composite
+def _measure_cases(draw):
+    dims = draw(st.lists(st.sampled_from([1, 2, 3, 7, 64, 1 << 40]), min_size=1, max_size=4))
+    k = len(dims)
+    regs = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    return dims, draw(st.integers(1, 400)), regs, draw(st.integers(0, 2**32 - 1))
+
+
+def test_measure_joint_matches_unique_grouping():
+    @settings(max_examples=150, deadline=None)
+    @given(case=_measure_cases())
+    @example(case=([1 << 40, 4], 300, [0, 1], 3))
+    def check(case):
+        dims, n, regs, seed = case
+        # a 2^40 register holds five values spread over its whole range
+        base = random_sparse_state([5 if d == 1 << 40 else d for d in dims], n, seed)
+        big = np.array([d == 1 << 40 for d in dims])
+        vals = np.where(big, base._vals * ((1 << 40) // 5) + 3, base._vals)
+        lay = RegisterLayout.of(*((f"r{i}", d) for i, d in enumerate(dims)))
+        state = SparseState(lay, vals, base._amps)
+        names = [f"r{i}" for i in regs]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcome, post = measure_joint(state, names, rng)
+        want_outcome, want_post = reference_measure_joint(state, names, ref_rng)
+        assert outcome == want_outcome
+        assert_same_state(post, want_post)
+        assert rng.random() == ref_rng.random()
+
+    check()
+
+
+def test_measure_joint_of_empty_state_raises():
+    lay = RegisterLayout.of(("h", 4), ("e", 2))
+    empty = SparseState(lay, np.empty((0, 2), dtype=np.int64), np.empty(0))
+    with pytest.raises(QStateError, match="no entries"):
+        measure_joint(empty, ("h",), np.random.default_rng(0))
