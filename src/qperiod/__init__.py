@@ -24,7 +24,6 @@ from .amplify import (
     PhaseFlipStep,
     PrepStep,
     ReversibleProgram,
-    SubtractStep,
     amplification_operator,
     boost_from_half,
     boost_from_quarter,

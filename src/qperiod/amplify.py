@@ -24,7 +24,6 @@ from .qstate import (
     RegisterLayout,
     SparseState,
     apply_oracle,
-    controlled_subtract,
     dft,
     good_mass,
     phase_flip,
@@ -80,18 +79,6 @@ class DftStep:
 
     def apply_inverse(self, state: SparseState) -> SparseState:
         return dft(state, self.reg, inverse=not self.inverse)
-
-
-@dataclass(frozen=True)
-class SubtractStep:
-    src: str
-    dst: str
-
-    def apply(self, state: SparseState) -> SparseState:
-        return controlled_subtract(state, self.src, self.dst)
-
-    def apply_inverse(self, state: SparseState) -> SparseState:
-        return controlled_subtract(state, self.src, self.dst, inverse=True)
 
 
 @dataclass(frozen=True)

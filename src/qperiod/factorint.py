@@ -19,8 +19,10 @@ decoding is factorization.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable
 
 import numpy as np
@@ -33,7 +35,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Quantum order finding is simulated only up to this modulus; the Fourier
 # register has dimension 2^t >= N^2.
 QUANTUM_SIM_LIMIT = 128
-DEFAULT_QUANTUM_BOUND = 64
+QUANTUM_BOUND = 64
 
 _MAX_ATTEMPTS = 10_000
 
@@ -50,7 +52,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -96,14 +98,12 @@ def prime_index(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _extend_primes(limit_value=p)
-    return _PRIME_CACHE.index(p)
+    return bisect_left(_PRIME_CACHE, p)
 
 
 def primes_below(limit: int) -> list[int]:
-    if limit <= 2:
-        return []
     _extend_primes(limit_value=limit)
-    return [p for p in _PRIME_CACHE if p < limit]
+    return _PRIME_CACHE[:bisect_left(_PRIME_CACHE, limit)]
 
 
 def _iroot(n: int, k: int) -> int:
@@ -127,14 +127,25 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _trial_division_factor(n: int) -> int:
-    """Smallest prime factor of composite odd n."""
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+def _split(n: int) -> int:
+    """A nontrivial divisor of an odd composite n that is not a perfect power.
+
+    Pollard's rho on x -> x^2 + c with Brent's cycle detection (Brent 1980):
+    y walks one step at a time while x is parked at each power of two.  A
+    walk whose cycle closes without splitting n is retried with c + 1, so the
+    result is deterministic.
+    """
+    for c in count(1):
+        x = y = 2
+        g = steps = limit = 1
+        while g == 1:
+            if steps == limit:
+                x, steps, limit = y, 0, 2 * limit
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -176,25 +187,10 @@ def _fourier_index_cdf(a: int, N: int) -> tuple[int, np.ndarray]:
 def _order_from_multiple(a: int, N: int, multiple: int) -> int:
     """Exact order of a mod N given any multiple of it (strip prime factors)."""
     r = multiple
-    for p in _prime_factors(r):
+    for p in set(factorize(multiple).factors):
         while r % p == 0 and pow(a, r // p, N) == 1:
             r //= p
     return r
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def order_find(a: int, N: int, rng: np.random.Generator) -> int:
@@ -301,56 +297,45 @@ class FactorizationResult:
         return out
 
 
+# Names every classical path, whichever splitter runs.
 METHOD_TRIAL = "trial-division"
 METHOD_QUANTUM = "quantum-order-finding"
 
 
-def factorize(
-    N: int,
-    rng: np.random.Generator | None = None,
-    quantum_bound: int = DEFAULT_QUANTUM_BOUND,
-) -> FactorizationResult:
+def factorize(N: int, rng: np.random.Generator | None = None) -> FactorizationResult:
     """Full prime factorization.
 
     Even parts and perfect powers are stripped classically.  Odd composite
-    cofactors up to ``quantum_bound`` are split by simulated order finding
-    when an rng is supplied; everything else falls back to deterministic
-    trial division, so protocol runs never stall on a large cofactor.
+    cofactors up to ``QUANTUM_BOUND`` are split by simulated order finding
+    when an rng is supplied; larger ones peel off their smallest prime
+    first, so the quantum splits land on the same cofactors whatever the
+    classical splitter.  Without an rng every split is classical.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     found: list[tuple[int, str]] = []
     trials = 0
-
-    def recurse(n: int, tag: str) -> None:
-        nonlocal trials
+    work = [(N, METHOD_TRIAL)]  # depth-first: a divisor before its cofactor
+    while work:
+        n, tag = work.pop()
         if n == 1:
-            return
+            continue
         twos = (n & -n).bit_length() - 1
         if twos:
             found.extend([(2, METHOD_TRIAL)] * twos)
-            recurse(n >> twos, tag)
-            return
-        if is_prime(n):
+            work.append((n >> twos, tag))
+        elif is_prime(n):
             found.append((n, tag))
-            return
-        power = _perfect_power(n)
-        if power is not None:
+        elif (power := _perfect_power(n)) is not None:
             base, exponent = power
-            for _ in range(exponent):
-                recurse(base, tag)
-            return
-        if rng is not None and n <= quantum_bound:
+            work.extend([(base, tag)] * exponent)
+        elif rng is not None and n <= QUANTUM_BOUND:
             divisor, attempts = _shor_split(n, rng)
             trials += attempts
-            recurse(divisor, METHOD_QUANTUM)
-            recurse(n // divisor, METHOD_QUANTUM)
-            return
-        divisor = _trial_division_factor(n)
-        recurse(divisor, METHOD_TRIAL)
-        recurse(n // divisor, METHOD_TRIAL)
-
-    recurse(N, METHOD_TRIAL)
+            work.extend([(n // divisor, METHOD_QUANTUM), (divisor, METHOD_QUANTUM)])
+        else:
+            divisor = factorize(n).factors[0] if rng is not None else _split(n)
+            work.extend([(n // divisor, METHOD_TRIAL), (divisor, METHOD_TRIAL)])
     found.sort()
     return FactorizationResult(
         n=N,

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .factorint import encode_set, decode_set, factorize, nth_prime, prime_index, primes_below
+from .factorint import encode_set, decode_set, factorize, nth_prime, prime_index
 from .periodfind import EqpaRecord, PeriodicFunction, eqpa
 
 KIND_INT = "classical-integer"
@@ -436,10 +436,11 @@ def gcd_protocol(
     ]
 
     # step 2: private union of the prime sets, indexed against the public
-    # universe of primes below 2^m_bits
-    universe = primes_below(1 << m_bits)
+    # universe of primes below 2^m_bits.  Each such prime has an index below
+    # 2^m_bits and the universe size is never logged, so 2^m_bits serves as
+    # the index bound without listing the primes.
     index_sets = [frozenset(prime_index(p) for p in ps) for ps in prime_sets]
-    union_res = psu_protocol(index_sets, len(universe), _ctx=ctx)
+    union_res = psu_protocol(index_sets, 1 << m_bits, _ctx=ctx)
     union_primes = sorted(nth_prime(u + 1) for u in union_res.output)
 
     # step 3: ascending power votes fix each prime's common exponent

@@ -66,14 +66,12 @@ class PeriodicFunction:
     """A function on Z_m promised to be exactly periodic with r | m.
 
     ``period`` is optional ground truth for test oracles; the algorithms in
-    this module never consult it.  ``evaluator`` must accept int64 arrays
-    when ``vectorized`` is true.
+    this module never consult it.  ``evaluator`` must accept int64 arrays.
     """
 
     modulus: int
     evaluator: Callable[..., object]
     period: int | None = None
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
@@ -82,12 +80,7 @@ class PeriodicFunction:
             raise ValueError(f"modulus {self.modulus} beyond desk-scale bound {_MAX_MODULUS}")
 
     def __call__(self, x):
-        if self.vectorized:
-            return np.asarray(self.evaluator(np.asarray(x, dtype=np.int64)), dtype=np.int64)
-        if np.ndim(x) == 0:
-            return int(self.evaluator(int(x)))
-        return np.fromiter((int(self.evaluator(int(v))) for v in np.asarray(x).ravel()),
-                           dtype=np.int64, count=np.size(x))
+        return np.asarray(self.evaluator(np.asarray(x, dtype=np.int64)), dtype=np.int64)
 
     @classmethod
     def modular(cls, period: int, modulus: int) -> "PeriodicFunction":
@@ -160,7 +153,7 @@ def fourier_sampling_program(f: PeriodicFunction) -> ReversibleProgram:
     """[prepare index; evaluate f into the value register; Fourier on index]."""
     m = f.modulus
     layout = RegisterLayout.of(("index", m), ("value", m))
-    oracle = ClassicalOracle(("index",), "value", f.evaluator, vectorized=f.vectorized, name="f")
+    oracle = ClassicalOracle(("index",), "value", f.evaluator, name="f")
     return ReversibleProgram(layout, (PrepStep("index"), OracleStep(oracle), DftStep("index")))
 
 
@@ -210,7 +203,7 @@ def marked_program(f: PeriodicFunction, d: int, j: int) -> ReversibleProgram:
         raise ValueError("d must be a positive divisor of the modulus")
     m = f.modulus
     layout = RegisterLayout.of(("index", m), ("value", m), ("b", 2), ("good", 2))
-    f_oracle = ClassicalOracle(("index",), "value", f.evaluator, vectorized=f.vectorized, name="f")
+    f_oracle = ClassicalOracle(("index",), "value", f.evaluator, name="f")
     mark = goodness(d, m, j)
     mark_oracle = ClassicalOracle(("index", "b"), "good", mark.fn, name=mark.name)
     return ReversibleProgram(

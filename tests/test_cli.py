@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -225,3 +226,21 @@ def test_lcm_period_past_budget_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+def test_factor_61_bit_semiprime(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "factor", "--n", "2305842932978024483")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["output"]["factors"] == [1073741789, 2147483647]
+
+
+def test_psi_over_full_eight_element_universe_exits_two(capsys):
+    # the encodings have 24 bits; the inner GCD indexes primes against 2^24
+    # without listing them, then the joint modulus is past the simulator's bound
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "psi", "--sets", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", "--universe", "8")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""

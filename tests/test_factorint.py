@@ -1,15 +1,21 @@
 """Tests for order finding, factoring, and prime set encodings."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperiod.factorint import (
+    METHOD_QUANTUM,
+    METHOD_TRIAL,
+    FactorizationResult,
     NoQuantumSplitNeeded,
     _perfect_power,
+    _shor_split,
+    _split,
     decode_set,
     encode_set,
     factorize,
@@ -34,6 +40,62 @@ def brute_force_order(a, N):
     return r
 
 
+def _trial_division_factor(n):
+    """Smallest prime factor of composite odd n."""
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
+
+
+def reference_factorize(N, rng=None, quantum_bound=64):
+    """Test oracle: the recursive trial-division factorize that the
+    Pollard-Brent worklist version must reproduce draw for draw."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    found: list[tuple[int, str]] = []
+    trials = 0
+
+    def recurse(n: int, tag: str) -> None:
+        nonlocal trials
+        if n == 1:
+            return
+        twos = (n & -n).bit_length() - 1
+        if twos:
+            found.extend([(2, METHOD_TRIAL)] * twos)
+            recurse(n >> twos, tag)
+            return
+        if is_prime(n):
+            found.append((n, tag))
+            return
+        power = _perfect_power(n)
+        if power is not None:
+            base, exponent = power
+            for _ in range(exponent):
+                recurse(base, tag)
+            return
+        if rng is not None and n <= quantum_bound:
+            divisor, attempts = _shor_split(n, rng)
+            trials += attempts
+            recurse(divisor, METHOD_QUANTUM)
+            recurse(n // divisor, METHOD_QUANTUM)
+            return
+        divisor = _trial_division_factor(n)
+        recurse(divisor, METHOD_TRIAL)
+        recurse(n // divisor, METHOD_TRIAL)
+
+    recurse(N, METHOD_TRIAL)
+    found.sort()
+    return FactorizationResult(
+        n=N,
+        factors=tuple(p for p, _ in found),
+        methods=tuple(m for _, m in found),
+        trials=trials,
+    )
+
+
 class TestPrimeHelpers:
     def test_is_prime_small(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
@@ -49,6 +111,10 @@ class TestPrimeHelpers:
 
     def test_primes_below(self):
         assert primes_below(32) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+    def test_primes_below_every_small_limit(self):
+        for limit in range(-1, 200):
+            assert primes_below(limit) == [p for p in range(2, limit) if is_prime(p)]
 
 
 class TestOrderFind:
@@ -226,3 +292,52 @@ class TestLargePowers:
     def test_square_of_mersenne_prime(self):
         p = 2**521 - 1
         assert factorize(p * p).factors == (p, p)
+
+
+# Products of small odd primes reach the quantum bound only after peels, so
+# they pin which prime a classical split takes first.
+_small_odd_products = st.lists(st.sampled_from([3, 5, 7, 11, 13, 17]), min_size=3, max_size=7).map(math.prod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10**6) | _small_odd_products.filter(lambda n: n <= 10**6), seed=st.integers(0, 50))
+@example(n=245, seed=4)
+@example(n=1155, seed=0)
+def test_factorize_matches_trial_division_reference(n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    result, expected = factorize(n, rng), reference_factorize(n, ref_rng)
+    assert (result.factors, result.methods, result.trials) == (
+        expected.factors, expected.methods, expected.trials)
+    assert rng.random() == ref_rng.random()
+
+
+class TestPollardBrent:
+    """Cofactors far past the reach of trial division."""
+
+    SEMIPRIME_61 = 1073741789 * 2147483647
+
+    def test_61_bit_semiprime(self):
+        start = time.perf_counter()
+        assert _split(self.SEMIPRIME_61) in (1073741789, 2147483647)
+        assert factorize(self.SEMIPRIME_61).factors == (1073741789, 2147483647)
+        assert factorize(self.SEMIPRIME_61, np.random.default_rng(0)).factors == (1073741789, 2147483647)
+        assert time.perf_counter() - start < 1.0
+
+    def test_three_primes_near_a_million(self):
+        n = 999983 * 1000003 * 1000033
+        d = _split(n)
+        assert 1 < d < n and n % d == 0
+        result = factorize(n, np.random.default_rng(3))
+        assert result.factors == (999983, 1000003, 1000033)
+        assert set(result.methods) == {METHOD_TRIAL}
+
+    def test_two_primes_of_31_and_32_bits(self):
+        p, q = 2**31 - 1, 4294967291
+        assert is_prime(p) and is_prime(q)
+        assert _split(p * q) in (p, q)
+        assert factorize(p * q).factors == (p, q)
+
+    @pytest.mark.parametrize("n", [15, 21, 45, 91, 1001, 3 * 5 * 7 * 11 * 13 * 17 * 19])
+    def test_split_divides_small_composites(self, n):
+        d = _split(n)
+        assert 1 < d < n and n % d == 0
