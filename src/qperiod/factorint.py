@@ -120,7 +120,8 @@ def _iroot(n: int, k: int) -> int:
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """Return (base, exponent >= 2) when n is a perfect power, else None."""
-    for e in range(2, n.bit_length()):
+    # b^(pq) is also the p-th power of b^q, so the smallest exponent is prime
+    for e in primes_below(n.bit_length()):
         b = _iroot(n, e)
         if b**e == n:
             return b, e

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,35 +70,61 @@ class TranscriptMessage:
         }
 
 
+class _Pass(NamedTuple):
+    """One ring pass of the work register, stored in place of its n handoffs."""
+
+    pass_no: int
+    direction: str
+    n: int
+    rounds: int  # the round counter before the pass
+    fourier_calls: int
+
+
 class Transcript:
-    """Ordered message log with live round/pass/Fourier counters."""
+    """Ordered message log with live round/pass/Fourier counters.
+
+    A ring pass is one record, expanded into its n handoff messages only
+    when ``messages`` or ``to_jsonl`` is read.
+    """
 
     def __init__(self) -> None:
-        self.messages: list[TranscriptMessage] = []
+        self._log: list[TranscriptMessage | _Pass] = []
         self.rounds = 0
         self.oracle_passes = 0
         self.fourier_calls = 0
 
-    def _snapshot(self) -> dict:
+    @property
+    def counters(self) -> dict:
         return {
             "rounds": self.rounds,
             "oracle_passes": self.oracle_passes,
             "fourier_calls": self.fourier_calls,
         }
 
-    def log(self, kind: str, sender, receiver, payload: dict) -> None:
-        self.messages.append(
-            TranscriptMessage(self.rounds, sender, receiver, kind, payload, self._snapshot())
-        )
+    @property
+    def messages(self) -> tuple[TranscriptMessage, ...]:
+        out: list[TranscriptMessage] = []
+        for entry in self._log:
+            if not isinstance(entry, _Pass):
+                out.append(entry)
+                continue
+            hops = [(i, (i + 1) % entry.n) for i in range(entry.n)]
+            if entry.direction == "inverse":
+                hops = [(b, a) for a, b in reversed(hops)]
+            for rounds, (a, b) in enumerate(hops, start=entry.rounds + 1):
+                payload = {"registers": ["t"], "pass": entry.pass_no, "direction": entry.direction}
+                counters = {"rounds": rounds, "oracle_passes": entry.pass_no, "fourier_calls": entry.fourier_calls}
+                out.append(TranscriptMessage(rounds, a, b, KIND_HANDOFF, payload, counters))
+        return tuple(out)
 
-    def log_handoff(self, sender: int, receiver: int, registers: list[str], pass_no: int, direction: str) -> None:
-        self.rounds += 1
-        self.log(
-            KIND_HANDOFF,
-            sender,
-            receiver,
-            {"registers": registers, "pass": pass_no, "direction": direction},
-        )
+    def log(self, kind: str, sender, receiver, payload: dict) -> None:
+        self._log.append(TranscriptMessage(self.rounds, sender, receiver, kind, payload, self.counters))
+
+    def log_pass(self, n: int, direction: str) -> None:
+        """One full ring pass of the work register; n handoffs, n rounds."""
+        self.oracle_passes += 1
+        self._log.append(_Pass(self.oracle_passes, direction, n, self.rounds, self.fourier_calls))
+        self.rounds += n
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
@@ -106,13 +132,17 @@ class Transcript:
     def verify_handoff_chain(self) -> bool:
         """Each handoff pass must be a connected ring walk."""
         last_by_pass: dict[int, int] = {}
-        for m in self.messages:
-            if m.kind != KIND_HANDOFF:
+        for entry in self._log:
+            if isinstance(entry, _Pass):
+                # its hops connect by construction, from party 0 back to party 0
+                p, sender, receiver = entry.pass_no, 0, 0
+            elif entry.kind == KIND_HANDOFF:
+                p, sender, receiver = entry.payload["pass"], entry.sender, entry.receiver
+            else:
                 continue
-            p = m.payload["pass"]
-            if p in last_by_pass and last_by_pass[p] != m.sender:
+            if last_by_pass.get(p, sender) != sender:
                 return False
-            last_by_pass[p] = m.receiver
+            last_by_pass[p] = receiver
         return True
 
 
@@ -127,11 +157,7 @@ class ProtocolResult:
 
     @property
     def counters(self) -> dict:
-        return {
-            "rounds": self.transcript.rounds,
-            "oracle_passes": self.transcript.oracle_passes,
-            "fourier_calls": self.transcript.fourier_calls,
-        }
+        return self.transcript.counters
 
 
 @dataclass
@@ -146,21 +172,11 @@ class Party:
 class _Context:
     """Shared run state: parties, transcript, and the protocol layer stack."""
 
-    def __init__(self, parties: list[Party], transcript: Transcript):
-        self.parties = parties
-        self.transcript = transcript
-        self.layers: list[tuple[str, tuple[int, ...]]] = []
-        self.pass_no = 0
-
-    @classmethod
-    def create(cls, secrets: Sequence[object], seed: int) -> "_Context":
+    def __init__(self, secrets: Sequence[object], seed: int):
         seqs = np.random.SeedSequence(seed).spawn(len(secrets))
-        parties = [Party(i, s, np.random.default_rng(q)) for i, (s, q) in enumerate(zip(secrets, seqs))]
-        return cls(parties, Transcript())
-
-    @property
-    def n(self) -> int:
-        return len(self.parties)
+        self.parties = [Party(i, s, np.random.default_rng(q)) for i, (s, q) in enumerate(zip(secrets, seqs))]
+        self.transcript = Transcript()
+        self.layers: list[tuple[str, tuple[int, ...]]] = []
 
     def push_layer(self, name: str, inputs: Sequence[int]) -> int:
         self.layers.append((name, tuple(int(v) for v in inputs)))
@@ -168,18 +184,6 @@ class _Context:
 
     def log_value(self, sender, receiver, role: str, value, layer: int, kind: str = KIND_INT) -> None:
         self.transcript.log(kind, sender, receiver, {"role": role, "value": value, "layer": layer})
-
-    def log_pass(self, direction: str) -> int:
-        """One full ring pass of the work register; n handoffs, n rounds."""
-        self.pass_no += 1
-        self.transcript.oracle_passes += 1
-        n = self.n
-        hops = [(i, (i + 1) % n) for i in range(n)]
-        if direction == "inverse":
-            hops = [(b, a) for a, b in reversed(hops)]
-        for a, b in hops:
-            self.transcript.log_handoff(a, b, ["t"], self.pass_no, direction)
-        return self.pass_no
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def _simulate_prep_pass(ctx: _Context) -> int:
     it.  The outcome is 0 by construction: t holds an exact copy of h, and
     subtracting that copy leaves |0> on every branch.  Returns the t outcome.
     """
-    ctx.log_pass("forward")
+    ctx.transcript.log_pass(len(ctx.parties), "forward")
     return 0
 
 
@@ -248,7 +252,7 @@ def lcm_protocol(
         if not 1 <= x < (1 << m_bits):
             raise ProtocolError(f"secret {x} outside [1, 2^{m_bits})")
 
-    ctx = _ctx if _ctx is not None else _Context.create(secrets, seed)
+    ctx = _ctx if _ctx is not None else _Context(secrets, seed)
     layer = ctx.push_layer("lcm", secrets)
     t = ctx.transcript
 
@@ -267,42 +271,43 @@ def lcm_protocol(
     # steps 4-5: first oracle-chain pass and the uncompute check of its copy
     if _simulate_prep_pass(ctx) != 0:
         # Declared rejection path; unreachable in honest runs.
-        views = _party_views(ctx, None)
-        return ProtocolResult(None, t, views, accept=False, layer_inputs=tuple(ctx.layers))
+        return ProtocolResult(None, t, _party_views(ctx, None), accept=False, layer_inputs=tuple(ctx.layers))
 
     # step 6: exact period finding on the joint function, every state
     # (re)preparation and inversion walking the ring as a logged pass
     f = _joint_residue_function(secrets, k)
-    first = [True]
 
     def on_iteration(rec: EqpaRecord) -> None:
-        if first[0]:
-            first[0] = False  # the prep pass above was this A pass
-        else:
-            ctx.log_pass("forward")
-        ctx.log_pass("inverse")
-        ctx.log_pass("forward")
+        if (rec.sweep, rec.j) != (1, -1):  # the prep pass above was the first A pass
+            t.log_pass(n, "forward")
+        t.log_pass(n, "inverse")
+        t.log_pass(n, "forward")
         t.fourier_calls = rec.fourier_calls
 
     result, _trace = eqpa(f, ctx.parties[0].rng, on_iteration=on_iteration)
-
-    ctx.log_value(0, BROADCAST, ROLE_RESULT, result, layer)
-    views = _party_views(ctx, result)
-    return ProtocolResult(result, t, views, accept=True, layer_inputs=tuple(ctx.layers))
+    return _publish(ctx, layer, result)
 
 
 def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
-    sent = {p.id: 0 for p in ctx.parties}
-    received = {p.id: 0 for p in ctx.parties}
-    for m in ctx.transcript.messages:
-        if isinstance(m.sender, int):
-            sent[m.sender] = sent.get(m.sender, 0) + 1
-        if isinstance(m.receiver, int):
-            received[m.receiver] = received.get(m.receiver, 0) + 1
+    # Each ring pass sends and receives one handoff per party.
+    passes = ctx.transcript.oracle_passes
+    classical = [m for m in ctx.transcript._log if not isinstance(m, _Pass)]
     return tuple(
-        {"party": p.id, "sent": sent[p.id], "received": received[p.id], "output": output}
+        {
+            "party": p.id,
+            "sent": passes + sum(m.sender == p.id for m in classical),
+            "received": passes + sum(m.receiver == p.id for m in classical),
+            "output": output,
+        }
         for p in ctx.parties
     )
+
+
+def _publish(ctx: _Context, layer: int, output) -> ProtocolResult:
+    """Broadcast the output (a set as its sorted elements) and close the run."""
+    ctx.log_value(0, BROADCAST, ROLE_RESULT, sorted(output) if isinstance(output, frozenset) else output, layer)
+    return ProtocolResult(output, ctx.transcript, _party_views(ctx, output), accept=True,
+                          layer_inputs=tuple(ctx.layers))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +344,7 @@ def divisibility_vote(
     n = len(secrets)
     if _ctx is None:
         base = rng if rng is not None else np.random.default_rng(0)
-        seqs = np.random.SeedSequence(int(base.integers(1 << 31))).spawn(n)
-        parties = [Party(i, s, np.random.default_rng(q)) for i, (s, q) in enumerate(zip(secrets, seqs))]
-        ctx = _Context(parties, Transcript())
+        ctx = _Context(secrets, int(base.integers(1 << 31)))
         layer = ctx.push_layer("vote", secrets)
     else:
         ctx = _ctx
@@ -379,6 +382,8 @@ def _validate_sets(secret_sets: Sequence[Iterable[int]], universe_size: int) -> 
     for s in sets:
         if any(u < 0 or u >= universe_size for u in s):
             raise ProtocolError(f"set element outside universe of size {universe_size}")
+    if len(sets) < 2:
+        raise ProtocolError("need at least two parties")
     return sets
 
 
@@ -390,21 +395,15 @@ def psu_protocol(
 ) -> ProtocolResult:
     """Private set union: encode as prime products, take the joint LCM, decode."""
     sets = _validate_sets(secret_sets, universe_size)
-    if len(sets) < 2:
-        raise ProtocolError("need at least two parties")
     encodings = [encode_set(s) for s in sets]
     m_hat = max(e.bit_length() for e in encodings)
-    ctx = _ctx if _ctx is not None else _Context.create(sets, seed)
+    ctx = _ctx if _ctx is not None else _Context(sets, seed)
     layer = ctx.push_layer("psu", encodings)
 
     inner = lcm_protocol(encodings, m_hat, _ctx=ctx)
     assert inner.accept
     union = decode_set(inner.output, universe_size)  # cannot fail for valid encodings
-
-    ctx.log_value(0, BROADCAST, ROLE_RESULT, sorted(union), layer)
-    views = _party_views(ctx, frozenset(union))
-    return ProtocolResult(frozenset(union), ctx.transcript, views, accept=True,
-                          layer_inputs=tuple(ctx.layers))
+    return _publish(ctx, layer, union)
 
 
 def gcd_protocol(
@@ -427,7 +426,7 @@ def gcd_protocol(
         if not 1 <= x < (1 << m_bits):
             raise ProtocolError(f"secret {x} outside [1, 2^{m_bits})")
 
-    ctx = _ctx if _ctx is not None else _Context.create(secrets, seed)
+    ctx = _ctx if _ctx is not None else _Context(secrets, seed)
     layer = ctx.push_layer("gcd", secrets)
 
     # step 1: local factorization into prime sets (no messages)
@@ -452,11 +451,7 @@ def gcd_protocol(
                 break
             exponent += 1
         result *= p**exponent
-
-    ctx.log_value(0, BROADCAST, ROLE_RESULT, result, layer)
-    views = _party_views(ctx, result)
-    return ProtocolResult(result, ctx.transcript, views, accept=True,
-                          layer_inputs=tuple(ctx.layers))
+    return _publish(ctx, layer, result)
 
 
 def psi_protocol(
@@ -466,20 +461,13 @@ def psi_protocol(
 ) -> ProtocolResult:
     """Private set intersection: encode, jointly compute GCD, decode."""
     sets = _validate_sets(secret_sets, universe_size)
-    if len(sets) < 2:
-        raise ProtocolError("need at least two parties")
     encodings = [encode_set(s) for s in sets]
     m_hat = max(e.bit_length() for e in encodings)
-    ctx = _Context.create(sets, seed)
+    ctx = _Context(sets, seed)
     layer = ctx.push_layer("psi", encodings)
 
     inner = gcd_protocol(encodings, m_hat, _ctx=ctx)
-    intersection = decode_set(inner.output, universe_size)
-
-    ctx.log_value(0, BROADCAST, ROLE_RESULT, sorted(intersection), layer)
-    views = _party_views(ctx, frozenset(intersection))
-    return ProtocolResult(frozenset(intersection), ctx.transcript, views, accept=True,
-                          layer_inputs=tuple(ctx.layers))
+    return _publish(ctx, layer, decode_set(inner.output, universe_size))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +506,12 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
 
     violations: list[str] = []
     checked = 0
-    for idx, msg in enumerate(result.transcript.messages):
+    idx = -1  # each message's index in the expanded ``messages``
+    for msg in result.transcript._log:
+        if isinstance(msg, _Pass):
+            idx += msg.n
+            continue
+        idx += 1
         if msg.kind == KIND_HANDOFF:
             continue
         checked += 1

@@ -357,6 +357,9 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     counts = np.zeros(len(starts), dtype=np.int64)
     kept = []
     lens, firsts = np.unique(length[by_len], return_index=True)
+    # a chunk buffer holds max(_DFT_CHUNK_CELLS, L) cells at most: check L first
+    if lens[-1] > _MAX_DFT_OUTPUT:
+        raise QStateError("DFT buffer exceeds sparse capacity")
     for L, lo, hi in zip(lens.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(starts)]):
         per = max(1, _DFT_CHUNK_CELLS // L)
         for q in range(lo, hi, per):

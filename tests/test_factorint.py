@@ -13,6 +13,7 @@ from qperiod.factorint import (
     METHOD_TRIAL,
     FactorizationResult,
     NoQuantumSplitNeeded,
+    _iroot,
     _perfect_power,
     _shor_split,
     _split,
@@ -292,6 +293,21 @@ class TestLargePowers:
     def test_square_of_mersenne_prime(self):
         p = 2**521 - 1
         assert factorize(p * p).factors == (p, p)
+
+
+def reference_perfect_power(n):
+    """``_perfect_power`` before it tried prime exponents only, verbatim."""
+    for e in range(2, n.bit_length()):
+        b = _iroot(n, e)
+        if b**e == n:
+            return b, e
+    return None
+
+
+def test_perfect_power_matches_every_exponent_reference():
+    large = [(2**64 + 13) ** 2, 3**700, (2**521 - 1) ** 2, 2**1000, 6**64, 10**60, 15**77, 7**81 + 1]
+    for n in [*range(1, 300001), *large]:
+        assert _perfect_power(n) == reference_perfect_power(n), n
 
 
 # Products of small odd primes reach the quantum bound only after peels, so

@@ -527,6 +527,21 @@ def test_dft_output_cap_raises_before_allocating():
     assert peak < 1 << 20
 
 
+def test_dft_buffer_cap_raises_before_allocating():
+    # entries {0, 1} in a 2^30 register form one group of length 2^30, whose
+    # FFT buffer alone would take 16 GiB
+    d = 1 << 30
+    state = SparseState(RegisterLayout.of(("h", d)), np.array([[0], [1]]), np.full(2, math.sqrt(0.5)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QStateError, match="exceeds sparse capacity"):
+            dft(state, "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @st.composite
 def _measure_cases(draw):
     dims = draw(st.lists(st.sampled_from([1, 2, 3, 7, 64, 1 << 40]), min_size=1, max_size=4))
