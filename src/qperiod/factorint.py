@@ -310,33 +310,40 @@ def factorize(N: int, rng: np.random.Generator | None = None) -> FactorizationRe
     cofactors up to ``QUANTUM_BOUND`` are split by simulated order finding
     when an rng is supplied; larger ones peel off their smallest prime
     first, so the quantum splits land on the same cofactors whatever the
-    classical splitter.  Without an rng every split is classical.
+    classical splitter.  A peeled cofactor carries the rest of that one
+    rng-less factorization for its next peel.  Without an rng every split
+    is classical.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     found: list[tuple[int, str]] = []
     trials = 0
-    work = [(N, METHOD_TRIAL)]  # depth-first: a divisor before its cofactor
+    # depth-first: a divisor before its cofactor; primes are the sorted
+    # prime factors of n when already known, else ()
+    work: list[tuple[int, str, tuple[int, ...]]] = [(N, METHOD_TRIAL, ())]
     while work:
-        n, tag = work.pop()
+        n, tag, primes = work.pop()
         if n == 1:
             continue
         twos = (n & -n).bit_length() - 1
         if twos:
             found.extend([(2, METHOD_TRIAL)] * twos)
-            work.append((n >> twos, tag))
+            work.append((n >> twos, tag, ()))
         elif is_prime(n):
             found.append((n, tag))
         elif (power := _perfect_power(n)) is not None:
             base, exponent = power
-            work.extend([(base, tag)] * exponent)
+            work.extend([(base, tag, ())] * exponent)
         elif rng is not None and n <= QUANTUM_BOUND:
             divisor, attempts = _shor_split(n, rng)
             trials += attempts
-            work.extend([(n // divisor, METHOD_QUANTUM), (divisor, METHOD_QUANTUM)])
+            work.extend([(n // divisor, METHOD_QUANTUM, ()), (divisor, METHOD_QUANTUM, ())])
+        elif rng is not None:
+            primes = primes or factorize(n).factors
+            work.extend([(n // primes[0], METHOD_TRIAL, primes[1:]), (primes[0], METHOD_TRIAL, ())])
         else:
-            divisor = factorize(n).factors[0] if rng is not None else _split(n)
-            work.extend([(n // divisor, METHOD_TRIAL), (divisor, METHOD_TRIAL)])
+            divisor = _split(n)
+            work.extend([(n // divisor, METHOD_TRIAL, ()), (divisor, METHOD_TRIAL, ())])
     found.sort()
     return FactorizationResult(
         n=N,

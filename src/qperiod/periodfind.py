@@ -48,8 +48,9 @@ from .qstate import (
 
 MASS_TOL = 1e-9
 
-# Desk-scale ceiling for the modulus itself; products that could overflow
-# int64 are guarded where they are formed (r*m and d*k bounds).
+# Desk-scale ceiling for the modulus: evaluators take int64 arrays of
+# points in [0, m), to which the spot checks add a divisor.  The block
+# sampler works in Python ints and needs no bound of its own.
 _MAX_MODULUS = 1 << 40
 
 # Largest period _analyze scans for: its forward scan, the values it keeps
@@ -67,11 +68,14 @@ class PeriodicFunction:
 
     ``period`` is optional ground truth for test oracles; the algorithms in
     this module never consult it.  ``evaluator`` must accept int64 arrays.
+    ``table``, set by :meth:`from_table`, holds every value, so the promise
+    check reads all of it instead of spot points.
     """
 
     modulus: int
     evaluator: Callable[..., object]
     period: int | None = None
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
@@ -92,7 +96,7 @@ class PeriodicFunction:
     @classmethod
     def from_table(cls, values: Sequence[int]) -> "PeriodicFunction":
         table = np.asarray(list(values), dtype=np.int64)
-        return cls(modulus=len(table), evaluator=lambda x: table[x])
+        return cls(modulus=len(table), evaluator=lambda x: table[x], table=table)
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,8 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     forward scan finds r with r evaluations; a scan that passes
     ``_MAX_PERIOD`` points raises :class:`ValueError`.  The scanned values
     cover one period, which is checked for a repeated value.  Periodicity
-    is verified exhaustively for moduli up to 4096 and on fixed spot points
-    beyond that.
+    is verified exhaustively for moduli up to 4096 and for tables, and on
+    fixed spot points beyond that.
     """
     m = f.modulus
     scanned = [np.asarray(f(np.array([0]))).ravel()]
@@ -132,12 +136,14 @@ def _analyze(f: PeriodicFunction) -> _Structure:
         raise PromiseViolation(f"detected period {r} does not divide modulus {m}")
     vals = np.concatenate(scanned)  # f on [0, r) at least; all of [0, m) when m <= 4096
     if m <= 4096:
-        if not np.array_equal(vals, vals[np.arange(m) % r]):
-            raise PromiseViolation("function is not periodic with the detected period")
+        periodic = np.array_equal(vals, vals[np.arange(m) % r])
+    elif f.table is not None:
+        periodic = bool((f.table.reshape(-1, r) == f.table[:r]).all())
     else:
         probe = np.random.default_rng(0x5EED).integers(0, m, size=64)
-        if not np.array_equal(np.asarray(f(probe)), np.asarray(f(probe % r))):
-            raise PromiseViolation("function is not periodic with the detected period")
+        periodic = np.array_equal(np.asarray(f(probe)), np.asarray(f(probe % r)))
+    if not periodic:
+        raise PromiseViolation("function is not periodic with the detected period")
     in_period = vals[:r]
     in_period.sort()  # vals is a fresh array; sorting in place saves a copy of r values
     if np.any(in_period[1:] == in_period[:-1]):
@@ -266,52 +272,115 @@ class EqpaTrace:
 # samplers: one boosted-and-measured iteration each
 
 
+_TWO53 = 1 << 53  # numpy's doubles from rng.random() are U / 2^53 for an integer U < 2^53
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i < n} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1.
+
+    O(log m) steps of Euclid's algorithm (``floor_sum_unsigned`` in the
+    AtCoder Library's ``math.hpp``), in exact Python ints.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+class _Run:
+    """The 2r' outcomes (t, b), t < r', of one copy in the block basis.
+
+    The rep of support index t is step*g*v_t with v_t = (a*t) mod r', so
+    (t, b) is good for both coins when v_t >= half = ceil(r'/2) and for
+    b = 1 alone when 1 <= v_t <= window.  With N = 2r' outcomes of which
+    G are good, a = G/N, the boost with both phases i scales good
+    amplitudes by 1 - 2i(1-a) and bad ones by -i(1-2a), so a good outcome
+    has weight N^2 + 4(N-G)^2 and a bad one (N-2G)^2, in units of
+    1/(g N^3): a run sums to N^3.
+    """
+
+    __slots__ = ("rb", "a", "half", "window", "n_good", "w_good", "w_bad")
+
+    def __init__(self, rb: int, a: int, window: int):
+        self.rb, self.a = rb, a
+        self.half = (rb + 1) // 2
+        self.window = min(window, self.half - 1)
+        self.n_good = count = self.good_before(rb)
+        n = 2 * rb
+        self.w_good = n * n + 4 * (n - count) ** 2
+        self.w_bad = (n - 2 * count) ** 2
+
+    def good(self, t: int, b: int) -> bool:
+        v = self.a * t % self.rb
+        return v >= self.half or (b == 1 and 1 <= v <= self.window)
+
+    def good_before(self, t: int) -> int:
+        """Good outcomes among the 2t with support index below t.
+
+        #{s < t : v_s >= c} = floor_sum(t, r', a, r'-c) - floor_sum(t, r', a, 0).
+        """
+        rb, a = self.rb, self.a
+        count = 2 * (_floor_sum(t, rb, a, rb - self.half) - _floor_sum(t, rb, a, 0))
+        if self.window:
+            count += _floor_sum(t, rb, a, rb - 1) - _floor_sum(t, rb, a, rb - 1 - self.window)
+        return count
+
+    def weight_before(self, t: int) -> int:
+        count = self.good_before(t)
+        return self.w_good * count + self.w_bad * (2 * t - count)
+
+
 class _BlockSampler:
     """Exact iteration in the invariant block basis |k>|G_k>|b>|mark>.
 
     The prepared state is uniform over 2r blocks (r support indices times
-    the coin), the boost acts by two scalar factors (good/bad), and the
-    measured triple follows the same lexicographic walk the sparse path
-    uses, with a single rng draw.  The rep of support index t is
-    step*((t*d) mod r), which has period r' = r/gcd(d, r) in t, so the 2r
-    outcomes are g = gcd(d, r) copies of one run of 2r' and an iteration
-    costs O(r').
+    the coin), and the boost acts by two scalar factors (good/bad).  The
+    rep of support index t has period r' = r/gcd(d, r) in t, so the 2r
+    outcomes are g = gcd(d, r) copies of one :class:`_Run`, whose good
+    counts are floor sums.  One rng draw walks the outcomes in
+    lexicographic order by a binary search on the integer cumulative
+    weight, so an iteration costs O(log^2 r') and allocates no array.
     """
 
     def __init__(self, structure: _Structure):
         self.m = structure.modulus
         self.r = structure.period
         self.step = self.m // self.r
-        if self.r * self.m >= (1 << 62):
-            raise ValueError("support-index products would overflow int64")
+
+    def run(self, d: int, j: int) -> _Run:
+        g = math.gcd(d, self.r)
+        rb = self.r // g
+        return _Run(rb, d // g % rb, ((1 << j) if j >= 0 else 0) // (self.step * g))
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-        m, r = self.m, self.r
-        g = math.gcd(d, r)
-        rb = r // g
-        t = np.arange(rb, dtype=np.int64)
-        reps = (t * ((self.step * d) % m)) % m
-        threshold = (1 << j) if j >= 0 else 0
-        good = np.empty((rb, 2), dtype=bool)
-        good[:, 0] = 2 * reps >= m
-        good[:, 1] = good[:, 0] | ((reps > 0) & (reps <= threshold))
-        a = good.sum() / (2 * rb)  # the same ratio, correctly rounded, as over all 2r
-        # Q = -A S0 A^{-1} S_good with both phases i; A S0 A^{-1} is a
-        # rank-one correction about the prepared state, so uniform good/bad
-        # coordinates stay uniform and only two factors matter.
-        ip = (1.0 - a) + 1j * a
-        factor_good = -(1j + (1j - 1.0) * ip)
-        factor_bad = -(1.0 + (1j - 1.0) * ip)
-        p_good = abs(factor_good) ** 2 / (2 * r)
-        p_bad = abs(factor_bad) ** 2 / (2 * r)
-        probs = np.where(good, p_good, p_bad).ravel()
-        cum = np.cumsum(probs)
-        run = cum[-1]
-        target = rng.random() * (g * run)
-        q = min(int(target // run), g - 1)
-        idx = min(int(np.searchsorted(cum, target - q * run, side="right")), 2 * rb - 1)
-        t_run, b = divmod(idx, 2)
-        return int((q * rb + t_run) * self.step), b, int(good[t_run, b]), float(a)
+        run = self.run(d, j)
+        rb = run.rb
+        g = self.r // rb
+        # the draw u = U/2^53 picks copy q = floor(u*g) <= g - 1, then the
+        # first outcome of that copy whose cumulative weight exceeds
+        # (u*g - q)*N^3; weight_before(r') = N^3 bounds the search
+        q, rest = divmod(int(rng.random() * _TWO53) * g, _TWO53)
+        target = rest * (2 * rb) ** 3
+        lo, hi, below = 0, rb, 0  # weight_before(lo) * 2^53 <= target < weight_before(hi) * 2^53
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            w = run.weight_before(mid)
+            if w * _TWO53 > target:
+                hi = mid
+            else:
+                lo, below = mid, w
+        below += run.w_good if run.good(lo, 0) else run.w_bad
+        b = 0 if below * _TWO53 > target else 1
+        return (q * rb + lo) * self.step, b, int(run.good(lo, b)), run.n_good / (2 * rb)
 
 
 class _ProgramSampler:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qperiod.factorint import (
     METHOD_QUANTUM,
     METHOD_TRIAL,
+    QUANTUM_BOUND,
     FactorizationResult,
     NoQuantumSplitNeeded,
     _iroot,
@@ -357,3 +358,59 @@ class TestPollardBrent:
     def test_split_divides_small_composites(self, n):
         d = _split(n)
         assert 1 < d < n and n % d == 0
+
+
+def refactoring_factorize(N, rng=None):
+    """Test oracle: the worklist factorize whose smallest-prime peel ran a
+    fresh rng-less factorization of every cofactor it peeled."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    found: list[tuple[int, str]] = []
+    trials = 0
+    work = [(N, METHOD_TRIAL)]  # depth-first: a divisor before its cofactor
+    while work:
+        n, tag = work.pop()
+        if n == 1:
+            continue
+        twos = (n & -n).bit_length() - 1
+        if twos:
+            found.extend([(2, METHOD_TRIAL)] * twos)
+            work.append((n >> twos, tag))
+        elif is_prime(n):
+            found.append((n, tag))
+        elif (power := _perfect_power(n)) is not None:
+            base, exponent = power
+            work.extend([(base, tag)] * exponent)
+        elif rng is not None and n <= QUANTUM_BOUND:
+            divisor, attempts = _shor_split(n, rng)
+            trials += attempts
+            work.extend([(n // divisor, METHOD_QUANTUM), (divisor, METHOD_QUANTUM)])
+        else:
+            divisor = refactoring_factorize(n).factors[0] if rng is not None else _split(n)
+            work.extend([(n // divisor, METHOD_TRIAL), (divisor, METHOD_TRIAL)])
+    found.sort()
+    return FactorizationResult(
+        n=N,
+        factors=tuple(p for p, _ in found),
+        methods=tuple(m for _, m in found),
+        trials=trials,
+    )
+
+
+def test_factorize_peels_like_the_refactoring_reference():
+    for n in range(1, 20001):
+        rng, ref_rng = np.random.default_rng(n % 7), np.random.default_rng(n % 7)
+        result, expected = factorize(n, rng), refactoring_factorize(n, ref_rng)
+        assert (result.factors, result.methods, result.trials) == (
+            expected.factors, expected.methods, expected.trials), n
+        assert rng.random() == ref_rng.random(), n
+
+
+@pytest.mark.parametrize("n", [3**5 * 5**3 * 7**2 * 1009, 67 * 71 * 73 * 79 * 83, 101**3 * 103 * 65537])
+def test_factorize_peels_large_cofactors_like_the_reference(n):
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result, expected = factorize(n, rng), refactoring_factorize(n, ref_rng)
+        assert (result.factors, result.methods, result.trials) == (
+            expected.factors, expected.methods, expected.trials)
+        assert rng.random() == ref_rng.random()

@@ -1,10 +1,11 @@
 """Tests for Fourier sampling, the probabilistic baseline, and the exact finder."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qperiod.periodfind import (
@@ -18,7 +19,8 @@ from qperiod.periodfind import (
     rep,
     standard_qpa,
 )
-from qperiod.periodfind import _BlockSampler, _Structure
+from qperiod.amplify import boost_from_half
+from qperiod.periodfind import _BlockSampler, _floor_sum, _Structure
 from qperiod.qstate import good_mass
 
 
@@ -388,3 +390,240 @@ def test_engines_agree_on_wider_generic_permutations(r, m):
         for a, b in zip(t1.records, t2.records, strict=True):
             assert (a.k, a.b, a.chi, a.d_before, a.d_after) == (b.k, b.b, b.chi, b.d_before, b.d_after)
             assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form walk: floor sums, weights, exact ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    m=st.integers(1, 1 << 40),
+    a=st.integers(0, 1 << 64),
+    b=st.integers(0, 1 << 64),
+)
+@example(n=0, m=1, a=0, b=0)
+@example(n=7, m=1, a=0, b=5)
+def test_floor_sum_matches_brute_force(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@st.composite
+def _wide_sampler_cases(draw):
+    rb = draw(st.integers(1, 1 << 17))
+    g = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    r, m = rb * g, rb * g * c
+    d = draw(st.sampled_from([g, g * c]))
+    j = draw(st.integers(-1, m.bit_length() - 1))
+    return m, r, d, j, draw(st.integers(0, 2**32 - 1))
+
+
+def test_block_sampler_matches_full_length_walk_at_wide_runs():
+    seen = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_wide_sampler_cases())
+    @example(case=(1 << 18, 1 << 17, 1, -1, 7))  # r' = 2^17 even, j = -1: a = 1/2, W_bad = 0
+    @example(case=(3 * (1 << 17) - 6, (1 << 17) - 2, 2, 9, 0))  # g = 2, first draw 0.64: q = g - 1
+    @example(case=(4 * 131071, 2 * 131071, 2, -1, 3))  # r' = 131071 odd, j = -1
+    def check(case):
+        m, r, d, j, seed = case
+        got = _BlockSampler(_Structure(m, r)).sample(d, j, np.random.default_rng(seed))
+        want = _full_length_sample(m, r, d, j, np.random.default_rng(seed))
+        assert got[:3] == want[:3]
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+        g = math.gcd(d, r)
+        if got[3] == 0.5:
+            seen.add("a = 1/2")
+        if g > 1 and got[0] // (m // g) == g - 1:
+            seen.add("q = g - 1")
+        if j == -1:
+            seen.add("j = -1")
+
+    check()
+    assert seen == {"a = 1/2", "q = g - 1", "j = -1"}
+
+
+@pytest.mark.parametrize("r, m", [(1, 4), (3, 12), (4, 8), (6, 12), (12, 24), (10, 40)])
+def test_block_sampler_weights_are_boosted_state_masses(r, m):
+    f = PeriodicFunction.modular(r, m)
+    sampler = _BlockSampler(_Structure(m, r))
+    step = m // r
+    for d in (x for x in range(1, m + 1) if m % x == 0):
+        for j in range(-1, m.bit_length()):
+            boost = boost_from_half(marked_program(f, d, j), goodness(d, m, j))
+            masses = {}
+            for (k, _, b, _), amp in boost.state.entries():
+                masses[k, b] = masses.get((k, b), 0.0) + abs(amp) ** 2
+            run = sampler.run(d, j)
+            n_cube = (2 * run.rb) ** 3
+            assert run.w_good * run.n_good + run.w_bad * (2 * run.rb - run.n_good) == n_cube
+            for k in range(m):
+                for b in (0, 1):
+                    if k % step:
+                        want = 0.0
+                    else:
+                        weight = run.w_good if run.good(k // step % run.rb, b) else run.w_bad
+                        want = weight / (r // run.rb * n_cube)
+                    assert masses.get((k, b), 0.0) == pytest.approx(want, abs=1e-12), (d, j, k, b)
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _exact_full_length_sample(m, r, d, j, u):
+    """The full-length walk in exact fractions: ties at cell boundaries
+    resolve to the next outcome of positive weight, as side='right' does."""
+    step = m // r
+    threshold = (1 << j) if j >= 0 else 0
+    cells = []
+    for t in range(r):
+        rep_ = (t * step * d) % m
+        good0 = 2 * rep_ >= m
+        cells += [(t, 0, good0), (t, 1, good0 or 0 < rep_ <= threshold)]
+    a = Fraction(sum(good for *_, good in cells), 2 * r)
+    w_good, w_bad = 1 + 4 * (1 - a) ** 2, (1 - 2 * a) ** 2
+    target = Fraction(u) * (w_good * 2 * r * a + w_bad * 2 * r * (1 - a))
+    cum = 0
+    for t, b, good in cells:
+        cum += w_good if good else w_bad
+        if cum > target:
+            return t * step, b, int(good), float(a)
+    raise AssertionError("walk ran past the last outcome")
+
+
+@pytest.mark.parametrize("r, c", [(2, 1), (6, 2), (12, 4), (20, 2), (30, 3), (42, 2), (60, 1)])
+def test_block_sampler_resolves_exact_ties(r, c):
+    m = r * c
+    sampler = _BlockSampler(_Structure(m, r))
+    for d in (x for x in range(1, m + 1) if m % x == 0):
+        g = math.gcd(d, r)
+        # rng.random() draws are multiples of 2^-53: take the first, the
+        # last, the middle, and the two nearest each copy boundary q/g for
+        # q = 1, g/2 and g - 1 (one when q/g is itself a multiple)
+        units = {0, 1 << 52, (1 << 53) - 1}
+        for q in {1, g // 2, g - 1} & set(range(1, g)):
+            units |= {q * (1 << 53) // g, -(-q * (1 << 53) // g)}
+        for j in range(-1, m.bit_length()):
+            for u in sorted(x / 2**53 for x in units):
+                assert sampler.sample(d, j, _FixedDraw(u)) == _exact_full_length_sample(m, r, d, j, u), (d, j, u)
+
+
+def test_block_engine_needs_no_int64_bound():
+    f = PeriodicFunction.modular(1 << 22, 1 << 40)
+    assert eqpa(f, np.random.default_rng(0))[0] == 1 << 22
+
+
+# ---------------------------------------------------------------------------
+# generic promise functions against brute force
+
+
+@st.composite
+def _promise_tables(draw, max_modulus, wide_values, min_modulus=1):
+    """f(x) = values[x mod r] for r distinct values: the promise holds with
+    period r.  Narrow values lie in [0, m), the program engine's value
+    register; wide ones span int64."""
+    m = draw(st.integers(min_modulus, max_modulus))
+    r = draw(st.sampled_from([x for x in range(1, m + 1) if m % x == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if wide_values:
+        values = rng.permutation(r) * draw(st.integers(1, 1 << 20)) + draw(st.integers(-(2**40), 2**40))
+    else:
+        values = rng.permutation(m)[:r]
+    return values.astype(np.int64)[np.arange(m) % r], r
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_promise_tables(96, wide_values=False), seed=st.integers(0, 2**32 - 1))
+def test_both_engines_exact_on_random_promise_tables(case, seed):
+    table, r = case
+    f = PeriodicFunction.from_table(table)
+    p1, t1 = eqpa(f, np.random.default_rng(seed), engine="block")
+    p2, t2 = eqpa(f, np.random.default_rng(seed), engine="program")
+    assert p1 == p2 == brute_force_period(f, len(table)) == r
+    for a, b in zip(t1.records, t2.records, strict=True):
+        assert (a.k, a.b, a.chi, a.d_before, a.d_after) == (b.k, b.b, b.chi, b.d_before, b.d_after)
+        assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_promise_tables(20_000, wide_values=True), seed=st.integers(0, 2**32 - 1))
+@example(case=(np.arange(20_000) % 5000, 5000), seed=0)
+def test_block_engine_exact_on_random_promise_tables(case, seed):
+    table, r = case
+    f = PeriodicFunction.from_table(table)
+    assert eqpa(f, np.random.default_rng(seed))[0] == brute_force_period(f, len(table)) == r
+
+
+def _promise_holds(table):
+    """Some r | m with f(x) = f(y) iff x = y (mod r); brute force."""
+    m = len(table)
+    return any(
+        len(np.unique(table[:r])) == r and np.array_equal(table, table[np.arange(m) % r])
+        for r in range(1, m + 1) if m % r == 0
+    )
+
+
+_VIOLATIONS = ("repeat", "non-dividing", "break")
+
+
+@st.composite
+def _violating_tables(draw, max_modulus, min_modulus=1, kinds=_VIOLATIONS):
+    """Tables that break the promise one way each: a value repeated inside
+    the period, a first return of f(0) that does not divide m, or one point
+    beyond the first period that leaves the periodic pattern."""
+    table, r = draw(_promise_tables(max_modulus, wide_values=False, min_modulus=min_modulus))
+    m = len(table)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeat":
+        assume(r >= 3)
+        i, k = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        values = table[:r].copy()
+        values[i] = values[k]
+        table = values[np.arange(m) % r]
+    elif kind == "non-dividing":
+        assume(m >= 3)
+        r = draw(st.integers(2, m - 1).filter(lambda r: m % r))
+        table = np.random.default_rng(r).permutation(m)[:r][np.arange(m) % r]
+    else:
+        assume(m > r)
+        table = table.copy()
+        table[draw(st.integers(r, m - 1))] = draw(st.integers(0, m - 1))
+    assume(not _promise_holds(table))
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_violating_tables(96), seed=st.integers(0, 2**32 - 1))
+def test_both_engines_reject_promise_violating_tables(table, seed):
+    for engine in ("block", "program"):
+        with pytest.raises(PromiseViolation):
+            eqpa(PeriodicFunction.from_table(table), np.random.default_rng(seed), engine=engine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_violating_tables(20_000), seed=st.integers(0, 2**32 - 1))
+@example(table=np.where(np.arange(8192) == 8190, 0, np.arange(8192) % 4096), seed=0)  # no spot point sees 8190
+def test_block_engine_rejects_promise_violating_tables(table, seed):
+    with pytest.raises(PromiseViolation):
+        eqpa(PeriodicFunction.from_table(table), np.random.default_rng(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=_violating_tables(20_000, min_modulus=4097, kinds=("repeat", "non-dividing")))
+def test_spot_checked_branch_rejects_repeats_and_non_dividing_returns(table):
+    # an opaque evaluator past m = 4096 is checked on spot points only, so
+    # one broken point beyond the first period can go unseen; the scan
+    # itself sees a first return that does not divide m and a repeat inside
+    # the period, except a repeat of f(0), which moves the first return and
+    # breaks the pattern on a large share of all points
+    f = PeriodicFunction(modulus=len(table), evaluator=lambda x: table[x])
+    with pytest.raises(PromiseViolation):
+        eqpa(f, np.random.default_rng(0))
