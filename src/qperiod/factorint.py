@@ -39,9 +39,18 @@ QUANTUM_BOUND = 64
 
 _MAX_ATTEMPTS = 10_000
 
+# Pollard rho steps one classical split may take over all its walks, about
+# 2 s of Python-int arithmetic: enough for any n below 2^64, whose
+# smallest prime factor is below 2^32 and found in about 2^17 steps.
+_MAX_RHO_STEPS = 1 << 20
+
 
 class NoQuantumSplitNeeded(ValueError):
     """The input is prime or a prime power; no quantum splitting applies."""
+
+
+class SplitBudgetExceeded(ValueError):
+    """A classical split took ``_MAX_RHO_STEPS`` rho steps without a divisor."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +143,20 @@ def _split(n: int) -> int:
     Pollard's rho on x -> x^2 + c with Brent's cycle detection (Brent 1980):
     y walks one step at a time while x is parked at each power of two.  A
     walk whose cycle closes without splitting n is retried with c + 1, so the
-    result is deterministic.
+    result is deterministic.  Rho needs about sqrt(p) steps for the smallest
+    prime factor p, so after ``_MAX_RHO_STEPS`` steps over all walks it
+    raises :class:`SplitBudgetExceeded`.
     """
+    budget = _MAX_RHO_STEPS
     for c in count(1):
         x = y = 2
         g = steps = limit = 1
         while g == 1:
             if steps == limit:
                 x, steps, limit = y, 0, 2 * limit
+            if not budget:
+                raise SplitBudgetExceeded(f"no factor of {n} within {_MAX_RHO_STEPS} Pollard rho steps")
+            budget -= 1
             y = (y * y + c) % n
             steps += 1
             g = math.gcd(x - y, n)

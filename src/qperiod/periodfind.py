@@ -22,13 +22,17 @@ measurement distribution in the invariant 2r-dimensional block basis
 G_k are orthonormal, so they never affect the index marginal), while
 ``engine="program"`` runs the literal program composition step by step.
 Both consume one rng draw per iteration and produce identical traces.
+Once d = r no outcome can update d, so the rest of the run is known in
+advance; the block engine then takes all of its draws in one
+``rng.random(count)``, which yields the same values and leaves the
+generator in the same state as ``count`` single draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,10 +105,14 @@ class PeriodicFunction:
 
 @dataclass(frozen=True)
 class _Structure:
-    """Verified orbit structure of a promise-satisfying function."""
+    """Verified orbit structure of a promise-satisfying function.
+
+    ``values`` holds the r in-period values of f, sorted.
+    """
 
     modulus: int
     period: int
+    values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _analyze(f: PeriodicFunction) -> _Structure:
@@ -148,7 +156,7 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     in_period.sort()  # vals is a fresh array; sorting in place saves a copy of r values
     if np.any(in_period[1:] == in_period[:-1]):
         raise PromiseViolation("function repeats a value inside one period")
-    return _Structure(m, r)
+    return _Structure(m, r, in_period)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +236,13 @@ def marked_program(f: PeriodicFunction, d: int, j: int) -> ReversibleProgram:
 # traces
 
 
-@dataclass(frozen=True)
-class EqpaRecord:
+class EqpaRecord(NamedTuple):
+    """One iteration of an EQPA run.
+
+    A named tuple because one is built per iteration, settled ones
+    included, and it builds in a fraction of a frozen dataclass's time.
+    """
+
     sweep: int
     j: int
     d_before: int
@@ -243,19 +256,7 @@ class EqpaRecord:
     fourier_calls: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "sweep": self.sweep,
-            "j": self.j,
-            "d_before": self.d_before,
-            "k": self.k,
-            "b": self.b,
-            "chi": self.chi,
-            "good_mass": self.good_mass,
-            "at_half_mass": self.at_half_mass,
-            "updated": self.updated,
-            "d_after": self.d_after,
-            "fourier_calls": self.fourier_calls,
-        }
+        return self._asdict()
 
 
 @dataclass
@@ -339,7 +340,22 @@ class _Run:
         return self.w_good * count + self.w_bad * (2 * t - count)
 
 
-class _BlockSampler:
+class _Sampler:
+    """One boosted-and-measured iteration per ``sample(d, j, rng)`` call,
+    one rng draw each."""
+
+    def outcomes(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
+        """(k, b, chi, good_mass) of the iterations ``js`` at divisor d.
+
+        Each draw is taken when its outcome is asked for, so a caller that
+        stops after an update leaves the rng where a loop of :meth:`sample`
+        calls would.
+        """
+        for j in js:
+            yield self.sample(d, j, rng)
+
+
+class _BlockSampler(_Sampler):
     """Exact iteration in the invariant block basis |k>|G_k>|b>|mark>.
 
     The prepared state is uniform over 2r blocks (r support indices times
@@ -349,6 +365,13 @@ class _BlockSampler:
     counts are floor sums.  One rng draw walks the outcomes in
     lexicographic order by a binary search on the integer cumulative
     weight, so an iteration costs O(log^2 r') and allocates no array.
+
+    At d = r the run is r' = 1: both outcomes (0, b) are bad with weight 4
+    of N^3 = 8, so the draw U/2^53 picks k = floor(U*r/2^53)*step and b =
+    bit 52 of U*r, with chi = 0 and good mass 0.  No update can follow, so
+    :meth:`outcomes` takes the draws of all requested iterations in one
+    ``rng.random(count)`` (the same values, and the same generator state
+    after, as ``count`` single draws) and maps them in that closed form.
     """
 
     def __init__(self, structure: _Structure):
@@ -382,12 +405,25 @@ class _BlockSampler:
         b = 0 if below * _TWO53 > target else 1
         return (q * rb + lo) * self.step, b, int(run.good(lo, b)), run.n_good / (2 * rb)
 
+    def outcomes(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
+        if d != self.r:
+            return super().outcomes(d, js, rng)
+        step, r = self.step, self.r
+        xs = [int(u * _TWO53) * r for u in rng.random(len(js)).tolist()]
+        return [((x >> 53) * step, (x >> 52) & 1, 0, 0.0) for x in xs]
 
-class _ProgramSampler:
-    """Literal iteration: build the marked program, boost, measure."""
 
-    def __init__(self, f: PeriodicFunction):
-        self.f = f
+class _ProgramSampler(_Sampler):
+    """Literal iteration: build the marked program, boost, measure.
+
+    The value register has dimension m, so f is loaded as the rank of its
+    value among the r sorted in-period values: the same level sets as f,
+    with values in [0, r) that cannot collide mod m whatever f's range.
+    """
+
+    def __init__(self, f: PeriodicFunction, structure: _Structure):
+        values = structure.values
+        self.f = PeriodicFunction(modulus=f.modulus, evaluator=lambda x: np.searchsorted(values, f(x)))
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
         program = marked_program(self.f, d, j)
@@ -409,52 +445,46 @@ def eqpa(
     """Find the exact period of ``f`` given that it divides the modulus.
 
     Returns the period and a per-iteration trace.  The result is
-    seed-independent; only the trace contents vary with the rng.  Raises
-    :class:`PromiseViolation` if the promise fails (including the final
-    spot check that the returned divisor really is a period).
+    seed-independent; only the trace contents vary with the rng, which
+    gives one draw to each iteration in order, whichever engine runs and
+    however the sampler batches them.  ``on_iteration`` sees every record
+    as it is appended.  Raises :class:`PromiseViolation` if the promise
+    fails (including the final spot check that the returned divisor really
+    is a period).
     """
     structure = _analyze(f)
     m = f.modulus
     if engine == "block":
-        sampler = _BlockSampler(structure)
+        sampler: _Sampler = _BlockSampler(structure)
     elif engine == "program":
-        sampler = _ProgramSampler(f)
+        sampler = _ProgramSampler(f, structure)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    j_hi = m.bit_length() - 1  # floor(log2 m) for m >= 1
+    sweep = list(range(-1, m.bit_length()))  # j = -1..floor(log2 m), m >= 1
     trace = EqpaTrace()
     d = 1
-    while True:
-        trace.sweeps += 1
-        swept_update = False
-        for j in range(-1, j_hi + 1):
-            k, b, chi, mass = sampler.sample(d, j, rng)
+    left = sweep  # the iterations still to run unless an outcome updates d
+    while left:
+        outcomes = zip(left, sampler.outcomes(d, left, rng))
+        left = []
+        for j, (k, b, chi, mass) in outcomes:
+            if j == -1:
+                trace.sweeps += 1
             trace.fourier_calls += 3  # A, A^{-1}, A each carry one transform
             trace.oracle_calls += 3
             informative = (d * k) % m != 0
             d_after = math.lcm(d, m // math.gcd(m, k)) if informative else d
-            record = EqpaRecord(
-                sweep=trace.sweeps,
-                j=j,
-                d_before=d,
-                k=k,
-                b=b,
-                chi=chi,
-                good_mass=mass,
-                at_half_mass=abs(mass - 0.5) <= MASS_TOL,
-                updated=informative,
-                d_after=d_after,
-                fourier_calls=trace.fourier_calls,
-            )
+            record = EqpaRecord(trace.sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,
+                                informative, d_after, trace.fourier_calls)
             trace.records.append(record)
             if on_iteration is not None:
                 on_iteration(record)
             if informative:
-                d = d_after
-                swept_update = True
-        if not swept_update:
-            break
+                # the rest of this sweep (j sits at index j + 1), then a
+                # full sweep to confirm d
+                d, left = d_after, sweep[j + 2:] + sweep
+                break
 
     _final_spot_check(f, d)
     return d, trace

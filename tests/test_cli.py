@@ -236,6 +236,19 @@ def test_factor_61_bit_semiprime(capsys):
     assert json.loads(out)["output"]["factors"] == [1073741789, 2147483647]
 
 
+def test_factor_past_the_rho_budget_exits_two(capsys):
+    # (2^61 - 1)(2^89 - 1): rho gives up after its step budget
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "factor", "--n", "1427247692705959880439315947500961989719490561")
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert "rho steps" in err
+    code, out, _ = run_cli(capsys, "factor", "--n", "2305842932978024483")
+    assert code == 0
+    assert json.loads(out)["output"]["factors"] == [1073741789, 2147483647]
+
+
 def test_psi_over_full_eight_element_universe_exits_two(capsys):
     # the encodings have 24 bits; the inner GCD indexes primes against 2^24
     # without listing them, then the joint modulus is past the simulator's bound

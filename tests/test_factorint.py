@@ -14,6 +14,7 @@ from qperiod.factorint import (
     QUANTUM_BOUND,
     FactorizationResult,
     NoQuantumSplitNeeded,
+    SplitBudgetExceeded,
     _iroot,
     _perfect_power,
     _shor_split,
@@ -30,6 +31,7 @@ from qperiod.factorint import (
     primes_below,
     shor_factor,
 )
+from qperiod import factorint
 from qperiod.periodfind import PromiseViolation
 
 
@@ -354,6 +356,14 @@ class TestPollardBrent:
         assert _split(p * q) in (p, q)
         assert factorize(p * q).factors == (p, q)
 
+    def test_split_gives_up_past_its_step_budget(self, monkeypatch):
+        # rho needs about 2^15 steps for 1073741789; a budget of 2^10 runs out
+        monkeypatch.setattr(factorint, "_MAX_RHO_STEPS", 1 << 10)
+        with pytest.raises(SplitBudgetExceeded, match="1024 Pollard rho steps"):
+            factorize(self.SEMIPRIME_61)
+        assert issubclass(SplitBudgetExceeded, ValueError)
+        assert factorize(1001 * 65537).factors == (7, 11, 13, 65537)
+
     @pytest.mark.parametrize("n", [15, 21, 45, 91, 1001, 3 * 5 * 7 * 11 * 13 * 17 * 19])
     def test_split_divides_small_composites(self, n):
         d = _split(n)
@@ -414,3 +424,23 @@ def test_factorize_peels_large_cofactors_like_the_reference(n):
         assert (result.factors, result.methods, result.trials) == (
             expected.factors, expected.methods, expected.trials)
         assert rng.random() == ref_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 2**64), seed=st.integers(0, 50) | st.none())
+@example(n=2**64, seed=None)
+@example(n=4294967279 * 4294967291, seed=None)  # the two largest primes below 2^32
+@example(n=4294967279 * 4294967291, seed=3)
+@example(n=4294967291**2, seed=None)
+@example(n=18446744073709551557, seed=1)  # the largest prime below 2^64
+@example(n=3 * 5 * 7 * 11 * 13 * 2**40, seed=0)
+def test_factorize_matches_sympy(n, seed):
+    sympy = pytest.importorskip("sympy")
+    rng = None if seed is None else np.random.default_rng(seed)
+    result = factorize(n, rng)
+    assert result.as_multiset() == sympy.factorint(n)
+    assert list(result.factors) == sorted(result.factors)

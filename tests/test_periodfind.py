@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qperiod.periodfind import (
+    EqpaRecord,
+    EqpaTrace,
     PeriodicFunction,
     PromiseViolation,
     brute_force_period,
@@ -20,7 +22,7 @@ from qperiod.periodfind import (
     standard_qpa,
 )
 from qperiod.amplify import boost_from_half
-from qperiod.periodfind import _BlockSampler, _floor_sum, _Structure
+from qperiod.periodfind import _analyze, _BlockSampler, _floor_sum, _Structure
 from qperiod.qstate import good_mass
 
 
@@ -542,6 +544,8 @@ def _promise_tables(draw, max_modulus, wide_values, min_modulus=1):
 
 @settings(max_examples=40, deadline=None)
 @given(case=_promise_tables(96, wide_values=False), seed=st.integers(0, 2**32 - 1))
+@example(case=(np.array([0, 2]), 2), seed=0)  # values that collide mod m
+@example(case=(np.array([4, 0, 2, 6]), 4), seed=0)
 def test_both_engines_exact_on_random_promise_tables(case, seed):
     table, r = case
     f = PeriodicFunction.from_table(table)
@@ -560,6 +564,21 @@ def test_block_engine_exact_on_random_promise_tables(case, seed):
     table, r = case
     f = PeriodicFunction.from_table(table)
     assert eqpa(f, np.random.default_rng(seed))[0] == brute_force_period(f, len(table)) == r
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=_promise_tables(48, wide_values=True), seed=st.integers(0, 2**32 - 1))
+def test_both_engines_exact_on_wide_value_tables(case, seed):
+    # the program engine loads each value's rank among the in-period values,
+    # so values far outside its m-dimensional value register are exact too
+    table, r = case
+    f = PeriodicFunction.from_table(table)
+    p1, t1 = eqpa(f, np.random.default_rng(seed), engine="block")
+    p2, t2 = eqpa(f, np.random.default_rng(seed), engine="program")
+    assert p1 == p2 == r
+    for a, b in zip(t1.records, t2.records, strict=True):
+        assert (a.k, a.b, a.chi, a.d_before, a.d_after) == (b.k, b.b, b.chi, b.d_before, b.d_after)
+        assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
 
 
 def _promise_holds(table):
@@ -627,3 +646,78 @@ def test_spot_checked_branch_rejects_repeats_and_non_dividing_returns(table):
     f = PeriodicFunction(modulus=len(table), evaluator=lambda x: table[x])
     with pytest.raises(PromiseViolation):
         eqpa(f, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the settled tail against the per-iteration loop
+
+
+def _per_iteration_eqpa(f, rng):
+    """The block engine's loop with one ``sample`` call, and one rng draw,
+    per iteration, settled or not: the reference for the batched tail."""
+    sampler = _BlockSampler(_analyze(f))
+    m = f.modulus
+    trace = EqpaTrace()
+    d = 1
+    while True:
+        trace.sweeps += 1
+        swept_update = False
+        for j in range(-1, m.bit_length()):
+            k, b, chi, mass = sampler.sample(d, j, rng)
+            trace.fourier_calls += 3
+            trace.oracle_calls += 3
+            informative = (d * k) % m != 0
+            d_after = math.lcm(d, m // math.gcd(m, k)) if informative else d
+            trace.records.append(
+                EqpaRecord(
+                    sweep=trace.sweeps,
+                    j=j,
+                    d_before=d,
+                    k=k,
+                    b=b,
+                    chi=chi,
+                    good_mass=mass,
+                    at_half_mass=abs(mass - 0.5) <= 1e-9,
+                    updated=informative,
+                    d_after=d_after,
+                    fourier_calls=trace.fourier_calls,
+                )
+            )
+            if informative:
+                d = d_after
+                swept_update = True
+        if not swept_update:
+            return d, trace
+
+
+def test_settled_tail_matches_per_iteration_loop():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.integers(1, 1 << 12),
+        c=st.one_of(st.integers(1, 8), st.integers(1 << 20, 1 << 28)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(r=1, c=8, seed=0)  # settled from the first iteration
+    @example(r=3, c=5, seed=379169)  # d reaches r at j = 3, the last j of sweep 1
+    @example(r=4095, c=(1 << 28) + 3, seed=1)  # m just below 2^40
+    def check(r, c, seed):
+        f = PeriodicFunction.modular(r, r * c)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        seen_records = []
+        period, trace = eqpa(f, rng, on_iteration=seen_records.append)
+        ref_period, ref = _per_iteration_eqpa(f, ref_rng)
+        assert period == ref_period == r
+        assert trace.records == ref.records == seen_records
+        assert (trace.fourier_calls, trace.oracle_calls, trace.sweeps) == (ref.fourier_calls, ref.oracle_calls, ref.sweeps)
+        assert rng.random() == ref_rng.random()
+        if r == 1:
+            seen.add("r = 1")
+        if any(rec.updated and rec.j == (r * c).bit_length() - 1 for rec in ref.records):
+            seen.add("d = r at the last j")
+        if r * c > 1 << 32:
+            seen.add("m > 2^32")
+
+    check()
+    assert seen == {"r = 1", "d = r at the last j", "m > 2^32"}
