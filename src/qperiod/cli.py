@@ -173,15 +173,14 @@ def _cmd_factor(args) -> int:
 
 
 def _run_protocol(args):
-    if args.command in ("lcm", "gcd") or (args.command == "audit" and args.protocol in ("lcm", "gcd")):
-        name = args.command if args.command != "audit" else args.protocol
+    name = args.protocol if args.command == "audit" else args.command
+    if name in ("lcm", "gcd"):
         if args.inputs is None or args.bits is None:
             raise ValueError("--inputs and --bits are required")
         secrets = _parse_ints(args.inputs)
         fn = mpqc.lcm_protocol if name == "lcm" else mpqc.gcd_protocol
         result = fn(secrets, args.bits, seed=args.seed)
         return result, {"inputs": secrets, "bits": args.bits}, secrets
-    name = args.command if args.command != "audit" else args.protocol
     if args.sets is None or args.universe is None:
         raise ValueError("--sets and --universe are required")
     sets = _parse_sets(args.sets)
@@ -193,10 +192,7 @@ def _run_protocol(args):
 
 def _cmd_protocol(args) -> int:
     started = time.perf_counter()
-    try:
-        result, inputs, _ = _run_protocol(args)
-    except (mpqc.ProtocolError, ValueError) as exc:
-        return _fail(str(exc))
+    result, inputs, _ = _run_protocol(args)
     if args.transcript:
         _write_transcript(args.transcript, result.transcript)
     if not result.accept:
@@ -209,10 +205,7 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_audit(args) -> int:
     started = time.perf_counter()
-    try:
-        result, inputs, basis = _run_protocol(args)
-    except (mpqc.ProtocolError, ValueError) as exc:
-        return _fail(str(exc))
+    result, inputs, basis = _run_protocol(args)
     report = mpqc.leakage_audit(result, basis)
     output = {
         "protocol": args.protocol,
@@ -268,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_audit(args)
         if args.command == "bench":
             return _cmd_bench(args)
-    except (mpqc.ProtocolError, periodfind.PromiseViolation, ValueError) as exc:
+    except ValueError as exc:  # ProtocolError and PromiseViolation included
         return _fail(str(exc))
     return _fail(f"unknown command {args.command!r}")  # pragma: no cover
 

@@ -15,6 +15,11 @@ primes imaging its elements, union becomes LCM of encodings, intersection
 becomes GCD, and GCD itself is computed from the union of prime factors
 plus masked divisibility votes on ascending prime powers.
 
+Each public protocol validates its inputs and runs an internal body on one
+run context (parties, transcript, layer stack).  Nested layers (the LCM in
+PSU, the PSU and votes in GCD, the GCD in PSI) run their bodies on that same
+context, so a reject in any layer rejects the whole run.
+
 A per-run leakage audit checks that the only classical values on the wire
 are masked multiples, the public modulus, masked vote shares, public vote
 candidates/results, and protocol outputs.
@@ -29,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .factorint import encode_set, decode_set, factorize, nth_prime, prime_index
+from .factorint import encode_set, decode_set, factorize, nth_prime
 from .periodfind import EqpaRecord, PeriodicFunction, eqpa
 
 KIND_INT = "classical-integer"
@@ -162,19 +167,18 @@ class ProtocolResult:
 
 @dataclass
 class Party:
-    """One protocol participant: identity, secret input, local randomness."""
+    """One protocol participant: identity and local randomness."""
 
     id: int
-    secret: object
     rng: np.random.Generator
 
 
 class _Context:
     """Shared run state: parties, transcript, and the protocol layer stack."""
 
-    def __init__(self, secrets: Sequence[object], seed: int):
-        seqs = np.random.SeedSequence(seed).spawn(len(secrets))
-        self.parties = [Party(i, s, np.random.default_rng(q)) for i, (s, q) in enumerate(zip(secrets, seqs))]
+    def __init__(self, n: int, seed: int):
+        seqs = np.random.SeedSequence(seed).spawn(n)
+        self.parties = [Party(i, np.random.default_rng(q)) for i, q in enumerate(seqs)]
         self.transcript = Transcript()
         self.layers: list[tuple[str, tuple[int, ...]]] = []
 
@@ -184,6 +188,52 @@ class _Context:
 
     def log_value(self, sender, receiver, role: str, value, layer: int, kind: str = KIND_INT) -> None:
         self.transcript.log(kind, sender, receiver, {"role": role, "value": value, "layer": layer})
+
+
+class _Reject(Exception):
+    """A layer's uncompute check failed; the whole run rejects."""
+
+
+def _run(n: int, seed: int, body) -> ProtocolResult:
+    """Run ``body`` on one fresh context of n parties and close the run."""
+    ctx = _Context(n, seed)
+    try:
+        output, accept = body(ctx), True
+    except _Reject:
+        output, accept = None, False
+    return ProtocolResult(output, ctx.transcript, _party_views(ctx, output), accept=accept,
+                          layer_inputs=tuple(ctx.layers))
+
+
+def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
+    # Each ring pass sends and receives one handoff per party.
+    passes = ctx.transcript.oracle_passes
+    classical = [m for m in ctx.transcript._log if not isinstance(m, _Pass)]
+    return tuple(
+        {
+            "party": p.id,
+            "sent": passes + sum(m.sender == p.id for m in classical),
+            "received": passes + sum(m.receiver == p.id for m in classical),
+            "output": output,
+        }
+        for p in ctx.parties
+    )
+
+
+def _publish(ctx: _Context, layer: int, output):
+    """Broadcast a layer's output (a set as its sorted elements) and return it."""
+    ctx.log_value(0, BROADCAST, ROLE_RESULT, sorted(output) if isinstance(output, frozenset) else output, layer)
+    return output
+
+
+def _check_secrets(secrets: Sequence[int], m_bits: int) -> list[int]:
+    secrets = [int(s) for s in secrets]
+    if len(secrets) < 2:
+        raise ProtocolError("need at least two parties")
+    for x in secrets:
+        if not 1 <= x < (1 << m_bits):
+            raise ProtocolError(f"secret {x} outside [1, 2^{m_bits})")
+    return secrets
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +283,25 @@ def _simulate_prep_pass(ctx: _Context) -> int:
     return 0
 
 
-def lcm_protocol(
-    secrets: Sequence[int],
-    m_bits: int,
-    seed: int = 0,
-    _ctx: _Context | None = None,
-) -> ProtocolResult:
+def lcm_protocol(secrets: Sequence[int], m_bits: int, seed: int = 0) -> ProtocolResult:
     """Jointly compute lcm of the secrets without revealing them.
 
     Single invocation: the exact period finder is deterministic, so no
     repetition or verification round is ever needed.
     """
-    secrets = [int(s) for s in secrets]
-    n = len(secrets)
-    if n < 2:
-        raise ProtocolError("need at least two parties")
-    for x in secrets:
-        if not 1 <= x < (1 << m_bits):
-            raise ProtocolError(f"secret {x} outside [1, 2^{m_bits})")
+    secrets = _check_secrets(secrets, m_bits)
+    return _run(len(secrets), seed, lambda ctx: _lcm(ctx, secrets, m_bits))
 
-    ctx = _ctx if _ctx is not None else _Context(secrets, seed)
+
+def _lcm(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     layer = ctx.push_layer("lcm", secrets)
     t = ctx.transcript
+    n = len(secrets)
 
     # step 1: every party sends its masked multiple to the coordinator
-    ys = []
-    for party, x in zip(ctx.parties, secrets):
-        y = _mask_secret(x, m_bits, party.rng)
-        ys.append(y)
-        if party.id != 0:
-            ctx.log_value(party.id, 0, ROLE_MASKED_MULTIPLE, y, layer)
+    ys = [_mask_secret(x, m_bits, party.rng) for party, x in zip(ctx.parties, secrets)]
+    for party, y in zip(ctx.parties[1:], ys[1:]):
+        ctx.log_value(party.id, 0, ROLE_MASKED_MULTIPLE, y, layer)
 
     # step 2: coordinator broadcasts the public modulus
     k = math.prod(ys)
@@ -270,8 +309,7 @@ def lcm_protocol(
 
     # steps 4-5: first oracle-chain pass and the uncompute check of its copy
     if _simulate_prep_pass(ctx) != 0:
-        # Declared rejection path; unreachable in honest runs.
-        return ProtocolResult(None, t, _party_views(ctx, None), accept=False, layer_inputs=tuple(ctx.layers))
+        raise _Reject  # declared rejection path; unreachable in honest runs
 
     # step 6: exact period finding on the joint function, every state
     # (re)preparation and inversion walking the ring as a logged pass
@@ -286,28 +324,6 @@ def lcm_protocol(
 
     result, _trace = eqpa(f, ctx.parties[0].rng, on_iteration=on_iteration)
     return _publish(ctx, layer, result)
-
-
-def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
-    # Each ring pass sends and receives one handoff per party.
-    passes = ctx.transcript.oracle_passes
-    classical = [m for m in ctx.transcript._log if not isinstance(m, _Pass)]
-    return tuple(
-        {
-            "party": p.id,
-            "sent": passes + sum(m.sender == p.id for m in classical),
-            "received": passes + sum(m.receiver == p.id for m in classical),
-            "output": output,
-        }
-        for p in ctx.parties
-    )
-
-
-def _publish(ctx: _Context, layer: int, output) -> ProtocolResult:
-    """Broadcast the output (a set as its sorted elements) and close the run."""
-    ctx.log_value(0, BROADCAST, ROLE_RESULT, sorted(output) if isinstance(output, frozenset) else output, layer)
-    return ProtocolResult(output, ctx.transcript, _party_views(ctx, output), accept=True,
-                          layer_inputs=tuple(ctx.layers))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +342,7 @@ def additive_shares(value: int, count: int, modulus: int, rng: np.random.Generat
     return _shares_from_masks(value, list(map(int, masks)), modulus)
 
 
-def divisibility_vote(
-    secrets: Sequence[int],
-    candidate: int,
-    rng: np.random.Generator | None = None,
-    _ctx: _Context | None = None,
-) -> bool:
+def divisibility_vote(secrets: Sequence[int], candidate: int, rng: np.random.Generator | None = None) -> bool:
     """True iff the candidate divides every secret.
 
     Realised as a masked additive sum of no-votes modulo n+1: the sum is 0
@@ -341,15 +352,13 @@ def divisibility_vote(
     if candidate < 1:
         raise ProtocolError("candidate must be positive")
     secrets = [int(s) for s in secrets]
-    n = len(secrets)
-    if _ctx is None:
-        base = rng if rng is not None else np.random.default_rng(0)
-        ctx = _Context(secrets, int(base.integers(1 << 31)))
-        layer = ctx.push_layer("vote", secrets)
-    else:
-        ctx = _ctx
-        layer = len(ctx.layers) - 1
+    seed = int((rng if rng is not None else np.random.default_rng(0)).integers(1 << 31))
+    result = _run(len(secrets), seed, lambda ctx: _vote(ctx, secrets, candidate, ctx.push_layer("vote", secrets)))
+    return result.output
 
+
+def _vote(ctx: _Context, secrets: Sequence[int], candidate: int, layer: int) -> bool:
+    n = len(secrets)
     modulus = n + 1
     ctx.log_value(0, BROADCAST, ROLE_VOTE_CANDIDATE, candidate, layer)
     votes = [0 if x % candidate == 0 else 1 for x in secrets]
@@ -387,31 +396,21 @@ def _validate_sets(secret_sets: Sequence[Iterable[int]], universe_size: int) -> 
     return sets
 
 
-def psu_protocol(
-    secret_sets: Sequence[Iterable[int]],
-    universe_size: int,
-    seed: int = 0,
-    _ctx: _Context | None = None,
-) -> ProtocolResult:
-    """Private set union: encode as prime products, take the joint LCM, decode."""
-    sets = _validate_sets(secret_sets, universe_size)
-    encodings = [encode_set(s) for s in sets]
+def _set_layer(ctx: _Context, name: str, encodings: Sequence[int], universe_size: int, inner) -> frozenset[int]:
+    """Push a set layer, run ``inner`` (``_lcm`` or ``_gcd``) on the encodings, publish the decoded set."""
+    layer = ctx.push_layer(name, encodings)
     m_hat = max(e.bit_length() for e in encodings)
-    ctx = _ctx if _ctx is not None else _Context(sets, seed)
-    layer = ctx.push_layer("psu", encodings)
-
-    inner = lcm_protocol(encodings, m_hat, _ctx=ctx)
-    assert inner.accept
-    union = decode_set(inner.output, universe_size)  # cannot fail for valid encodings
-    return _publish(ctx, layer, union)
+    # a union or intersection of encodings always decodes
+    return _publish(ctx, layer, decode_set(inner(ctx, encodings, m_hat), universe_size))
 
 
-def gcd_protocol(
-    secrets: Sequence[int],
-    m_bits: int,
-    seed: int = 0,
-    _ctx: _Context | None = None,
-) -> ProtocolResult:
+def psu_protocol(secret_sets: Sequence[Iterable[int]], universe_size: int, seed: int = 0) -> ProtocolResult:
+    """Private set union: encode as prime products, take the joint LCM, decode."""
+    encodings = [encode_set(s) for s in _validate_sets(secret_sets, universe_size)]
+    return _run(len(encodings), seed, lambda ctx: _set_layer(ctx, "psu", encodings, universe_size, _lcm))
+
+
+def gcd_protocol(secrets: Sequence[int], m_bits: int, seed: int = 0) -> ProtocolResult:
     """Jointly compute gcd of the secrets.
 
     Each party factors its own input locally (quantum splitting for small
@@ -419,55 +418,39 @@ def gcd_protocol(
     exponent of every prime in the union is fixed by masked divisibility
     votes on ascending powers.
     """
-    secrets = [int(s) for s in secrets]
-    if len(secrets) < 2:
-        raise ProtocolError("need at least two parties")
-    for x in secrets:
-        if not 1 <= x < (1 << m_bits):
-            raise ProtocolError(f"secret {x} outside [1, 2^{m_bits})")
+    secrets = _check_secrets(secrets, m_bits)
+    return _run(len(secrets), seed, lambda ctx: _gcd(ctx, secrets, m_bits))
 
-    ctx = _ctx if _ctx is not None else _Context(secrets, seed)
+
+def _gcd(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     layer = ctx.push_layer("gcd", secrets)
 
-    # step 1: local factorization into prime sets (no messages)
-    prime_sets = [
-        frozenset(factorize(x, party.rng).factors) for party, x in zip(ctx.parties, secrets)
-    ]
+    # step 1: each party factors its input locally and keeps its radical (no messages)
+    radicals = [math.prod(set(factorize(x, party.rng).factors)) for party, x in zip(ctx.parties, secrets)]
 
-    # step 2: private union of the prime sets, indexed against the public
-    # universe of primes below 2^m_bits.  Each such prime has an index below
-    # 2^m_bits and the universe size is never logged, so 2^m_bits serves as
-    # the index bound without listing the primes.
-    index_sets = [frozenset(prime_index(p) for p in ps) for ps in prime_sets]
-    union_res = psu_protocol(index_sets, 1 << m_bits, _ctx=ctx)
-    union_primes = sorted(nth_prime(u + 1) for u in union_res.output)
+    # step 2: private union of the prime sets.  A radical is the set encoding
+    # of its primes' indices in the public universe of primes below 2^m_bits;
+    # each index is below 2^m_bits and the universe size is never logged, so
+    # 2^m_bits serves as the index bound without listing the primes.
+    union = _set_layer(ctx, "psu", radicals, 1 << m_bits, _lcm)
+    vote_layer = len(ctx.layers) - 1  # the votes carry the last layer pushed
 
     # step 3: ascending power votes fix each prime's common exponent
     result = 1
-    for p in union_primes:
+    for p in sorted(nth_prime(u + 1) for u in union):
         exponent = 0
         while p ** (exponent + 1) < (1 << m_bits):
-            if not divisibility_vote(secrets, p ** (exponent + 1), _ctx=ctx):
+            if not _vote(ctx, secrets, p ** (exponent + 1), vote_layer):
                 break
             exponent += 1
         result *= p**exponent
     return _publish(ctx, layer, result)
 
 
-def psi_protocol(
-    secret_sets: Sequence[Iterable[int]],
-    universe_size: int,
-    seed: int = 0,
-) -> ProtocolResult:
+def psi_protocol(secret_sets: Sequence[Iterable[int]], universe_size: int, seed: int = 0) -> ProtocolResult:
     """Private set intersection: encode, jointly compute GCD, decode."""
-    sets = _validate_sets(secret_sets, universe_size)
-    encodings = [encode_set(s) for s in sets]
-    m_hat = max(e.bit_length() for e in encodings)
-    ctx = _Context(sets, seed)
-    layer = ctx.push_layer("psi", encodings)
-
-    inner = gcd_protocol(encodings, m_hat, _ctx=ctx)
-    return _publish(ctx, layer, decode_set(inner.output, universe_size))
+    encodings = [encode_set(s) for s in _validate_sets(secret_sets, universe_size)]
+    return _run(len(encodings), seed, lambda ctx: _set_layer(ctx, "psi", encodings, universe_size, _gcd))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI contract tests: output schema, determinism, exit codes, artifacts."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -257,3 +258,49 @@ def test_psi_over_full_eight_element_universe_exits_two(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
+
+
+def test_gcd_of_31_bit_primes_exits_two_at_the_modulus_bound(capsys):
+    # the radicals go to the inner LCM as they are, with no prime listed up to 2^31
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gcd", "--inputs", "2147483647,2147483647", "--bits", "31")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "modulus" in err
+
+
+# SHA-256 of the stdout and of the --transcript file of fixed-seed protocol
+# runs: the bytes must stay the same from one version of the code to the next.
+_GOLDEN = [
+    (("lcm", "--inputs", "4,6,10", "--bits", "5", "--seed", "1"),
+     "261186f9adbb7cab697f2f09c05148244baa78b448dd3539f14565901d2e7d86",
+     "3cab103df1182add666930747b397f052f4e200441d9ea9785b7f1e0181a63ca"),
+    (("gcd", "--inputs", "12,18", "--bits", "5"),
+     "cc0e11e5c50b2beda8228730f2d043e2dd9e55eb750617169abd4b8fc56e1684",
+     "c8ce2e7d519961c9bcc9634e7157d944f906326e20dc3367d360d3a0de520818"),
+    (("gcd", "--inputs", "245,175,35", "--bits", "8", "--seed", "4"),
+     "8c6832448c3253cebf157d9104629b0eab8c25268e2be2310e4cd3fc80d26249",
+     "79baefaaee03b65561107d0c299e19ed8061b2c657aefe3f7f9990bfb9e7369f"),
+    (("psu", "--sets", "1,2;2,3", "--universe", "4"),
+     "53ea65592c4af9ecf7d860a4c5cbbb565a48ff6bbc6c705639e36ec2aea5b980",
+     "9d6cb562d999102527b843e600a24674e6155075c9a58762e259de5f908ffdd3"),
+    (("psi", "--sets", "1,2;2,3", "--universe", "4"),
+     "c1c31e57e5cd4cef0112fcd216639c76b32460e03c0b1238ec9cda580080d4dd",
+     "c8b26ba5f92a241a9a6f353e81f584d122843128147cdf506dd4a6dc366a85bb"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, transcript_sha", _GOLDEN, ids=[" ".join(argv) for argv, _, _ in _GOLDEN])
+def test_protocol_bytes_match_recorded_digests(tmp_path, capsys, argv, stdout_sha, transcript_sha):
+    path = tmp_path / "t.jsonl"
+    code, out, _ = run_cli(capsys, *argv, "--transcript", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == transcript_sha
+
+
+def test_audit_bytes_match_recorded_digest(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--protocol", "psi", "--sets", "1,2;2,3", "--universe", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "df46cd7f312f2abffe174df96f5504692de7d83aa6b08512761a0f34c641a288"

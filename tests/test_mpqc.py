@@ -290,6 +290,26 @@ class TestRejectPath:
         assert not res.accept
         assert res.output is None
 
+    @pytest.mark.parametrize(
+        "kind, args, argv",
+        [
+            ("psu", ([{1, 2}, {2, 3}], 4), ("psu", "--sets", "1,2;2,3", "--universe", "4")),
+            ("gcd", ([12, 18], 5), ("gcd", "--inputs", "12,18", "--bits", "5")),
+            ("psi", ([{1, 2}, {2, 3}], 4), ("psi", "--sets", "1,2;2,3", "--universe", "4")),
+        ],
+    )
+    def test_nested_reject_rejects_the_whole_run(self, monkeypatch, capsys, kind, args, argv):
+        import qperiod.mpqc as mpqc_mod
+        from qperiod.cli import main
+
+        monkeypatch.setattr(mpqc_mod, "_simulate_prep_pass", lambda *a, **k: 1)
+        res = _PROTOCOLS[kind](*args, seed=0)
+        assert not res.accept
+        assert res.output is None
+        assert all(view["output"] is None for view in res.party_views)
+        assert main(list(argv)) == 3
+        assert json.loads(capsys.readouterr().out)["output"] is None
+
     def test_honest_runs_always_accept(self):
         for seed in range(25):
             res = lcm_protocol([4, 6, 9], 5, seed=seed)
