@@ -252,7 +252,9 @@ def _joint_residue_function(secrets: Sequence[int], k: int) -> PeriodicFunction:
     """Mixed-radix packing of (x mod r_0, ..., x mod r_{n-1}) into one value.
 
     Injective per residue pattern, so the packed function has exactly the
-    joint period lcm(r_i); all values stay below prod(r_i) <= k.
+    joint period lcm(r_i); all values stay below prod(r_i) <= k.  The
+    residue moduli are declared on the function, so the block engine takes
+    that period from them instead of scanning f.
     """
     xs = [int(s) for s in secrets]
     weights = []
@@ -268,7 +270,7 @@ def _joint_residue_function(secrets: Sequence[int], k: int) -> PeriodicFunction:
             out += (j % x) * wt
         return out
 
-    return PeriodicFunction(modulus=k, evaluator=evaluate)
+    return PeriodicFunction(modulus=k, evaluator=evaluate, residues=tuple(xs))
 
 
 def _simulate_prep_pass(ctx: _Context) -> int:

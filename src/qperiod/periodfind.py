@@ -58,7 +58,8 @@ MASS_TOL = 1e-9
 _MAX_MODULUS = 1 << 40
 
 # Largest period _analyze scans for: its forward scan, the values it keeps
-# and the in-period sort all grow with the period.
+# and the in-period sort all grow with the period.  It bounds those scans
+# only; a function with declared residues is never scanned.
 _MAX_PERIOD = 1 << 24
 
 
@@ -73,19 +74,26 @@ class PeriodicFunction:
     ``period`` is optional ground truth for test oracles; the algorithms in
     this module never consult it.  ``evaluator`` must accept int64 arrays.
     ``table``, set by :meth:`from_table`, holds every value, so the promise
-    check reads all of it instead of spot points.
+    check reads all of it instead of spot points.  ``residues`` declares
+    that f(x) is an injective function of (x mod x_0, ..., x mod x_{n-1}):
+    by the CRT its period is then exactly lcm(x_i), and the promise holds
+    whenever that lcm divides the modulus, so the block engine takes the
+    period from the declaration without evaluating f.
     """
 
     modulus: int
     evaluator: Callable[..., object]
     period: int | None = None
     table: np.ndarray | None = field(default=None, compare=False, repr=False)
+    residues: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if self.modulus > _MAX_MODULUS:
             raise ValueError(f"modulus {self.modulus} beyond desk-scale bound {_MAX_MODULUS}")
+        if self.residues is not None and not all(x >= 1 for x in self.residues):
+            raise ValueError("declared residue moduli must be positive")
 
     def __call__(self, x):
         return np.asarray(self.evaluator(np.asarray(x, dtype=np.int64)), dtype=np.int64)
@@ -157,6 +165,16 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     if np.any(in_period[1:] == in_period[:-1]):
         raise PromiseViolation("function repeats a value inside one period")
     return _Structure(m, r, in_period)
+
+
+def _structure(f: PeriodicFunction) -> _Structure:
+    """The declared structure of ``f`` if it has one, else :func:`_analyze`'s."""
+    if f.residues is None:
+        return _analyze(f)
+    r = math.lcm(*f.residues)
+    if f.modulus % r:
+        raise PromiseViolation(f"declared period {r} does not divide modulus {f.modulus}")
+    return _Structure(f.modulus, r)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +467,16 @@ def eqpa(
     gives one draw to each iteration in order, whichever engine runs and
     however the sampler batches them.  ``on_iteration`` sees every record
     as it is appended.  Raises :class:`PromiseViolation` if the promise
-    fails (including the final spot check that the returned divisor really
-    is a period).
+    fails, including the final check that the returned divisor really is a
+    period.  With declared ``residues`` the block engine never evaluates f
+    and that check is exact: d is a period iff every residue modulus
+    divides it.  Otherwise it compares f at d-shifted spot points.
     """
-    structure = _analyze(f)
     m = f.modulus
     if engine == "block":
-        sampler: _Sampler = _BlockSampler(structure)
+        sampler: _Sampler = _BlockSampler(_structure(f))
     elif engine == "program":
-        sampler = _ProgramSampler(f, structure)
+        sampler = _ProgramSampler(f, _analyze(f))  # the literal oracle needs the sorted values
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
@@ -486,17 +505,21 @@ def eqpa(
                 d, left = d_after, sweep[j + 2:] + sweep
                 break
 
-    _final_spot_check(f, d)
+    _final_check(f, d)
     return d, trace
 
 
-def _final_spot_check(f: PeriodicFunction, d: int) -> None:
+def _final_check(f: PeriodicFunction, d: int) -> None:
     m = f.modulus
-    if m <= 4096:
-        xs = np.arange(m, dtype=np.int64)
+    if f.residues is not None:
+        periodic = all(d % x == 0 for x in f.residues)
     else:
-        xs = np.random.default_rng(0xD00D).integers(0, m, size=64)
-    if not np.array_equal(np.asarray(f(xs)), np.asarray(f((xs + d) % m))):
+        if m <= 4096:
+            xs = np.arange(m, dtype=np.int64)
+        else:
+            xs = np.random.default_rng(0xD00D).integers(0, m, size=64)
+        periodic = np.array_equal(np.asarray(f(xs)), np.asarray(f((xs + d) % m)))
+    if not periodic:
         raise PromiseViolation(f"returned divisor {d} is not a period of the function")
 
 
@@ -508,7 +531,7 @@ def standard_qpa(f: PeriodicFunction, rng: np.random.Generator, samples: int = 1
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    structure = _analyze(f)
+    structure = _structure(f)
     m, r = structure.modulus, structure.period
     g = m
     for _ in range(samples):

@@ -1,8 +1,10 @@
 """Tests for the simulated multiparty protocols, transcripts, and the audit."""
 
+import dataclasses
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from qperiod.factorint import encode_set
 from qperiod.mpqc import (
     _EQUALITY_EXEMPT,
+    _joint_residue_function,
     KIND_HANDOFF,
     KIND_INT,
     ROLE_MASKED_MULTIPLE,
@@ -31,6 +34,7 @@ from qperiod.mpqc import (
     psi_protocol,
     psu_protocol,
 )
+from qperiod.periodfind import eqpa
 from qperiod.qstate import (
     ClassicalOracle,
     RegisterLayout,
@@ -115,6 +119,42 @@ class TestLcmProtocol:
             value = msg.payload.get("value")
             if msg.payload.get("role") != "result-broadcast":
                 assert value not in secrets
+
+
+class TestDeclaredJointFunction:
+    """The joint function declares its residue moduli, so the block engine
+    takes the period lcm(x_i) from them instead of scanning f."""
+
+    def test_same_run_as_the_scanned_evaluator_and_no_evaluation(self):
+        rng = np.random.default_rng(20)
+        parties = []
+        while len(parties) < 200:
+            n = int(rng.integers(2, 6))
+            secrets = [int(rng.integers(1, 1 << int(rng.integers(1, 9)))) for _ in range(n)]
+            r = math.lcm(*secrets)
+            if r > 1 << 16:  # the scanned copy reads one period per run
+                continue
+            parties.append(n)
+            f = _joint_residue_function(secrets, r * int(rng.integers(1, 1 << 12)))
+            scanned = dataclasses.replace(f, residues=None)
+            calls = []
+            counted = dataclasses.replace(f, evaluator=lambda x: calls.append(x) or f.evaluator(x))
+            seed = int(rng.integers(1 << 31))
+            runs = [(g, np.random.default_rng(seed)) for g in (f, scanned, counted)]
+            (p1, t1), (p2, t2), (p3, t3) = (eqpa(g, g_rng) for g, g_rng in runs)
+            assert p1 == p2 == p3 == r
+            assert t1.records == t2.records == t3.records
+            assert len({g_rng.random() for _, g_rng in runs}) == 1
+            assert calls == []
+        assert set(parties) == {2, 3, 4, 5}
+
+    def test_lcm_of_12_bit_primes_is_fast(self):
+        start = time.perf_counter()
+        result = lcm_protocol([4093, 4091], 12)
+        elapsed = time.perf_counter() - start
+        assert result.output == 16744463 and result.accept
+        assert leakage_audit(result, [4093, 4091]).passed
+        assert elapsed < 0.2
 
 
 class TestDivisibilityVote:

@@ -22,7 +22,8 @@ from qperiod.periodfind import (
     standard_qpa,
 )
 from qperiod.amplify import boost_from_half
-from qperiod.periodfind import _analyze, _BlockSampler, _floor_sum, _Structure
+from qperiod import periodfind
+from qperiod.periodfind import _analyze, _BlockSampler, _final_check, _floor_sum, _Structure
 from qperiod.qstate import good_mass
 
 
@@ -379,6 +380,57 @@ def test_period_past_budget_is_a_value_error():
     with pytest.raises(ValueError, match="budget of 16777216 points") as info:
         eqpa(f, np.random.default_rng(0))
     assert not isinstance(info.value, PromiseViolation)
+
+
+# ---------------------------------------------------------------------------
+# declared residue moduli
+
+
+def _never_evaluated(x):
+    raise AssertionError("a declared function is not evaluated on the block path")
+
+
+def test_declared_period_past_the_scan_budget():
+    f = PeriodicFunction(modulus=1 << 26, evaluator=_never_evaluated, residues=(1 << 25,))
+    assert eqpa(f, np.random.default_rng(0))[0] == 1 << 25
+    assert standard_qpa(f, np.random.default_rng(0), samples=8) in {1 << e for e in range(26)}
+
+
+def test_declared_residues_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        PeriodicFunction(modulus=12, evaluator=_never_evaluated, residues=(4, 0))
+
+
+def test_declared_period_not_dividing_the_modulus_is_a_promise_violation():
+    f = PeriodicFunction(modulus=60, evaluator=_never_evaluated, residues=(4, 6, 7))
+    with pytest.raises(PromiseViolation, match="declared period 84"):
+        eqpa(f, np.random.default_rng(0))
+    with pytest.raises(PromiseViolation):
+        standard_qpa(f, np.random.default_rng(0))
+
+
+def test_declared_final_check_is_exact():
+    f = PeriodicFunction(modulus=72, evaluator=_never_evaluated, residues=(4, 6, 9))
+    _final_check(f, 36)
+    for d in (4, 9, 12, 18):
+        with pytest.raises(PromiseViolation, match=f"returned divisor {d} "):
+            _final_check(f, d)
+
+
+def test_program_engine_analyzes_a_declared_function(monkeypatch):
+    f = PeriodicFunction(modulus=48, evaluator=lambda x: x % 4 + 4 * (x % 6), residues=(4, 6))
+    analyzed = []
+    monkeypatch.setattr(periodfind, "_analyze", lambda g: analyzed.append(g) or _analyze(g))
+    for seed in range(3):
+        p1, t1 = eqpa(f, np.random.default_rng(seed), engine="block")
+        assert analyzed == []
+        p2, t2 = eqpa(f, np.random.default_rng(seed), engine="program")
+        assert analyzed == [f]
+        analyzed.clear()
+        assert p1 == p2 == 12
+        for a, b in zip(t1.records, t2.records, strict=True):
+            assert a._replace(good_mass=0.0) == b._replace(good_mass=0.0)
+            assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
 
 
 @pytest.mark.parametrize("r, m", [(64, 256), (96, 384)])
