@@ -205,21 +205,19 @@ def goodness(d: int, m: int, j: int) -> GoodPredicate:
     """The marking predicate on (index, b) for divisor d and window exponent j.
 
     Good iff rep(d*k) >= m/2, or b = 1 and 0 < rep(d*k) <= 2^j.  For j = -1
-    the window (0, 2^j] is empty.
+    the window (0, 2^j] is empty.  The predicate is int64 arithmetic, so
+    d * (m - 1) must stay below 2^62, as it does for every DFT dimension.
     """
     if not -1 <= j <= max(m.bit_length() - 1, 0):
         raise ValueError(f"j={j} outside -1..floor(log2 {m})")
+    if d * (m - 1) >= 1 << 62:
+        raise ValueError(f"d*(m-1) = {d * (m - 1)} overflows the int64 predicate")
     threshold = (1 << j) if j >= 0 else 0
-    fits_int64 = d * (m - 1) < (1 << 62)
 
     def fn(k, b):
         k = np.asarray(k, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if fits_int64:
-            r = (d * k) % m
-        else:  # exact arithmetic fallback for extreme divisor/modulus products
-            r = np.array([(d * int(v)) % m for v in np.atleast_1d(k)], dtype=np.int64)
-            r = r.reshape(k.shape)
+        r = (d * k) % m
         return (2 * r >= m) | ((b == 1) & (r > 0) & (r <= threshold))
 
     return GoodPredicate(("index", "b"), fn, name=f"mark(d={d},j={j})")

@@ -307,3 +307,49 @@ def test_audit_bytes_match_recorded_digest(capsys):
     code, out, _ = run_cli(capsys, "audit", "--protocol", "psi", "--sets", "1,2;2,3", "--universe", "4")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "df46cd7f312f2abffe174df96f5504692de7d83aa6b08512761a0f34c641a288"
+
+
+# SHA-256 of the stdout (and of the --trace file, where one is written) of
+# fixed-seed runs of the commands that run no protocol.
+_GOLDEN_SINGLE_RUN = [
+    (("eqpa", "--r", "4", "--m", "16", "--seed", "0"),
+     "3e76bb39463d08dc1b34c727f7229e8cb54aea0a0f5492ec9dafa42619309a10",
+     "19c175b764b3e5de7a9e0c670f58bc7805a68d89faa254282d4727f370bc7486"),
+    (("qpa-compare", "--r", "6", "--m", "12", "--trials", "50", "--seed", "0"),
+     "5720a8f84fd891b03e2562fe09b7c6d9947866147e09bce11714e7c1c1b2e6d6", None),
+    (("factor", "--n", "60", "--seed", "5"),
+     "6accecf98421a708262121b51440ecdc901dcb19cfbb8881f3100630b89a2648", None),
+    (("bench", "--r", "4", "--m", "16", "--trials", "20", "--seed", "9"),
+     "4c79a265fecada15cbc5f4fa316fc73883b8d2197cfbd0a5eff970d80bfd3d4a", None),
+    (("bench", "--algo", "qpa", "--r", "6", "--m", "12", "--trials", "50", "--seed", "3"),
+     "456242c36fff046bf1d94eadf7ade5e4d10249f489859d7ffa3c60e8a608d58d", None),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, trace_sha", _GOLDEN_SINGLE_RUN,
+                         ids=[" ".join(argv) for argv, _, _ in _GOLDEN_SINGLE_RUN])
+def test_command_bytes_match_recorded_digests(tmp_path, capsys, argv, stdout_sha, trace_sha):
+    path = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(capsys, *argv, *(("--trace", str(path)) if trace_sha else ()))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    if trace_sha:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_without_trials_exits_two(capsys, trials):
+    code, out, err = run_cli(capsys, "bench", "--r", "3", "--m", "6", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == "error: trials must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("eqpa", "--r", "4", "--m", "16"), "--trace"),
+    (("lcm", "--inputs", "4,6", "--bits", "5"), "--transcript"),
+    (("psi", "--sets", "1,2;2,3", "--universe", "4"), "--transcript"),
+], ids=["eqpa", "lcm", "psi"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, flag, str(tmp_path / "missing" / "out.jsonl"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing" in err

@@ -1,12 +1,15 @@
 """Tests for order finding, factoring, and prime set encodings."""
 
 import math
+import random
 import time
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import sympy
 
 from qperiod.factorint import (
     METHOD_QUANTUM,
@@ -368,6 +371,71 @@ class TestPollardBrent:
     def test_split_divides_small_composites(self, n):
         d = _split(n)
         assert 1 < d < n and n % d == 0
+
+
+_MAX_RHO_STEPS = factorint._MAX_RHO_STEPS
+
+
+def reference_split(n: int) -> int:
+    """``_split`` with one gcd per rho step, verbatim."""
+    budget = _MAX_RHO_STEPS
+    for c in count(1):
+        x = y = 2
+        g = steps = limit = 1
+        while g == 1:
+            if steps == limit:
+                x, steps, limit = y, 0, 2 * limit
+            if not budget:
+                raise SplitBudgetExceeded(f"no factor of {n} within {_MAX_RHO_STEPS} Pollard rho steps")
+            budget -= 1
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
+def _split_outcome(split, n):
+    try:
+        return split(n)
+    except SplitBudgetExceeded as exc:
+        return str(exc)
+
+
+def _odd_composites_not_prime_powers(seed, count_):
+    """Random odd composites below 2^48 with at least two distinct primes."""
+    rng = random.Random(seed)
+    while count_:
+        n = rng.randrange(9, 1 << 48, 2)
+        if not is_prime(n) and len(sympy.factorint(n)) > 1:
+            count_ -= 1
+            yield n
+
+
+def _odd_semiprimes(seed, count_):
+    """p * q for distinct random primes in [2^14, 2^24): rho needs about
+    2^7 to 2^12 steps for them, on both sides of a 2^10 budget."""
+    rng = random.Random(seed)
+    while count_:
+        p, q = (sympy.nextprime(rng.randrange(1 << 14, 1 << 24)) for _ in range(2))
+        if p != q:
+            count_ -= 1
+            yield p * q
+
+
+def test_batched_split_matches_the_step_by_step_reference():
+    for n in _odd_composites_not_prime_powers(12, 1000):
+        assert _split(n) == reference_split(n), n
+
+
+def test_batched_split_runs_out_of_budget_where_the_reference_does(monkeypatch):
+    monkeypatch.setattr(factorint, "_MAX_RHO_STEPS", 1 << 10)
+    monkeypatch.setitem(globals(), "_MAX_RHO_STEPS", 1 << 10)
+    cases = [*_odd_composites_not_prime_powers(13, 150), *_odd_semiprimes(14, 150)]
+    outcomes = [_split_outcome(_split, n) for n in cases]
+    assert outcomes == [_split_outcome(reference_split, n) for n in cases]
+    assert sum(isinstance(o, str) for o in outcomes) >= 30  # both outcomes are exercised
+    assert sum(isinstance(o, int) for o in outcomes) >= 30
 
 
 def refactoring_factorize(N, rng=None):

@@ -102,6 +102,19 @@ class TestGoodness:
         with pytest.raises(ValueError):
             goodness(1, 12, -2)
 
+    def test_int64_overflow_refused(self):
+        with pytest.raises(ValueError, match="int64"):
+            goodness(1 << 40, (1 << 40) + 1, 0)
+        with pytest.raises(ValueError, match="int64"):
+            goodness(1 << 31, (1 << 31) + 1, 0)  # d*(m-1) = 2^62
+
+    def test_largest_admitted_product_is_exact(self):
+        d, m = (1 << 31) - 1, (1 << 31) + 1  # d*(m-1) just below 2^62
+        pred = goodness(d, m, 5)
+        ks = np.array([1, 2, m // 2, m - 2, m - 1, 12345678])
+        reps = [(d * int(k)) % m for k in ks]
+        assert list(pred(ks, np.ones_like(ks))) == [int(2 * r >= m or 0 < r <= 32) for r in reps]
+
     def test_vectorized_matches_scalar(self):
         pred = goodness(2, 24, 2)
         ks = np.arange(24)
