@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .periodfind import PeriodicFunction, eqpa, fourier_sampling_program
+from .periodfind import _MAX_PERIOD, PeriodicFunction, eqpa, fourier_sampling_program
 
 # Deterministic Miller-Rabin witnesses, valid far beyond desk scale.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -82,38 +82,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_PRIME_CACHE: list[int] = [2, 3, 5, 7, 11, 13]
+# Every prime below _SIEVED, a power of two no larger than periodfind's scan budget.
+_SIEVED, _PRIMES = 16, [2, 3, 5, 7, 11, 13]
 
 
-def _extend_primes(limit_count: int | None = None, limit_value: int | None = None) -> None:
-    candidate = _PRIME_CACHE[-1]
-    while (limit_count is not None and len(_PRIME_CACHE) < limit_count) or (
-        limit_value is not None and _PRIME_CACHE[-1] < limit_value
-    ):
-        candidate += 2
-        if is_prime(candidate):
-            _PRIME_CACHE.append(candidate)
+def _sieve(limit: int) -> None:
+    """Grow the cache to every prime below ``limit``; ValueError past the cap."""
+    global _SIEVED, _PRIMES
+    if limit > _MAX_PERIOD:
+        raise ValueError(f"prime request past the sieve cap of {_MAX_PERIOD}")
+    if limit > _SIEVED:
+        n = 1 << (limit - 1).bit_length()  # the sieve doubles until it covers limit
+        sieve = np.ones(n, dtype=bool)
+        for p in range(2, math.isqrt(n - 1) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        _SIEVED, _PRIMES = n, np.flatnonzero(sieve)[2:].tolist()  # 0 and 1 are not prime
 
 
 def nth_prime(i: int) -> int:
     """1-based: nth_prime(1) == 2."""
     if i < 1:
         raise ValueError("prime index must be >= 1")
-    _extend_primes(limit_count=i)
-    return _PRIME_CACHE[i - 1]
+    while len(_PRIMES) < i:
+        _sieve(2 * _SIEVED)
+    return _PRIMES[i - 1]
 
 
 def prime_index(p: int) -> int:
     """0-based position of a prime in the prime sequence (2 -> 0, 3 -> 1)."""
-    if not is_prime(p):
+    _sieve(p + 1)
+    i = bisect_left(_PRIMES, p)
+    if _PRIMES[i:i + 1] != [p]:
         raise ValueError(f"{p} is not prime")
-    _extend_primes(limit_value=p)
-    return bisect_left(_PRIME_CACHE, p)
+    return i
 
 
 def primes_below(limit: int) -> list[int]:
-    _extend_primes(limit_value=limit)
-    return _PRIME_CACHE[:bisect_left(_PRIME_CACHE, limit)]
+    _sieve(limit)
+    return _PRIMES[:bisect_left(_PRIMES, limit)]
 
 
 def _iroot(n: int, k: int) -> int:

@@ -53,13 +53,13 @@ from .qstate import (
 MASS_TOL = 1e-9
 
 # Desk-scale ceiling for the modulus: evaluators take int64 arrays of
-# points in [0, m), to which the spot checks add a divisor.  The block
+# points in [0, m), to which _analyze's spot check adds r <= m.  The block
 # sampler works in Python ints and needs no bound of its own.
 _MAX_MODULUS = 1 << 40
 
-# Largest period _analyze scans for: its forward scan, the values it keeps
-# and the in-period sort all grow with the period.  It bounds those scans
-# only; a function with declared residues is never scanned.
+# Largest period _analyze scans for (its scan, the values it keeps and its
+# sort grow with the period; declared functions are never scanned), and the
+# cap of factorint's prime sieve.
 _MAX_PERIOD = 1 << 24
 
 
@@ -71,10 +71,9 @@ class PromiseViolation(ValueError):
 class PeriodicFunction:
     """A function on Z_m promised to be exactly periodic with r | m.
 
-    ``period`` is optional ground truth for test oracles; the algorithms in
-    this module never consult it.  ``evaluator`` must accept int64 arrays.
-    ``table``, set by :meth:`from_table`, holds every value, so the promise
-    check reads all of it instead of spot points.  ``residues`` declares
+    ``evaluator`` must accept int64 arrays.  ``table``, set by
+    :meth:`from_table`, holds every value, so the promise check reads all
+    of it instead of spot points.  ``residues`` declares
     that f(x) is an injective function of (x mod x_0, ..., x mod x_{n-1}):
     by the CRT its period is then exactly lcm(x_i), and the promise holds
     whenever that lcm divides the modulus, so the block engine takes the
@@ -83,7 +82,6 @@ class PeriodicFunction:
 
     modulus: int
     evaluator: Callable[..., object]
-    period: int | None = None
     table: np.ndarray | None = field(default=None, compare=False, repr=False)
     residues: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
@@ -103,7 +101,7 @@ class PeriodicFunction:
         """f(x) = x mod period, the canonical promise-satisfying family."""
         if period < 1:
             raise ValueError("period must be positive")
-        return cls(modulus=modulus, evaluator=lambda x: x % period, period=period)
+        return cls(modulus=modulus, evaluator=lambda x: x % period)
 
     @classmethod
     def from_table(cls, values: Sequence[int]) -> "PeriodicFunction":
@@ -130,8 +128,9 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     forward scan finds r with r evaluations; a scan that passes
     ``_MAX_PERIOD`` points raises :class:`ValueError`.  The scanned values
     cover one period, which is checked for a repeated value.  Periodicity
-    is verified exhaustively for moduli up to 4096 and for tables, and on
-    fixed spot points beyond that.
+    is verified on every point when the first scan chunk holds all of f
+    (m <= 4096) or f is a table, else on 64 fixed spot points against their
+    residue mod r and 64 against a shift by r.  No later code evaluates f.
     """
     m = f.modulus
     scanned = [np.asarray(f(np.array([0]))).ravel()]
@@ -151,13 +150,13 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     if m % r:
         raise PromiseViolation(f"detected period {r} does not divide modulus {m}")
     vals = np.concatenate(scanned)  # f on [0, r) at least; all of [0, m) when m <= 4096
-    if m <= 4096:
-        periodic = np.array_equal(vals, vals[np.arange(m) % r])
-    elif f.table is not None:
-        periodic = bool((f.table.reshape(-1, r) == f.table[:r]).all())
+    whole = vals if m <= chunk else f.table
+    if whole is not None:
+        periodic = bool((whole.reshape(-1, r) == whole[:r]).all())
     else:
-        probe = np.random.default_rng(0x5EED).integers(0, m, size=64)
-        periodic = np.array_equal(np.asarray(f(probe)), np.asarray(f(probe % r)))
+        x = np.random.default_rng(0x5EED).integers(0, m, size=64)
+        y = np.random.default_rng(0xD00D).integers(0, m, size=64)
+        periodic = np.array_equal(f(np.r_[x, y]), f(np.r_[x % r, (y + r) % m]))
     if not periodic:
         raise PromiseViolation("function is not periodic with the detected period")
     in_period = vals[:r]
@@ -465,16 +464,18 @@ def eqpa(
     gives one draw to each iteration in order, whichever engine runs and
     however the sampler batches them.  ``on_iteration`` sees every record
     as it is appended.  Raises :class:`PromiseViolation` if the promise
-    fails, including the final check that the returned divisor really is a
-    period.  With declared ``residues`` the block engine never evaluates f
-    and that check is exact: d is a period iff every residue modulus
-    divides it.  Otherwise it compares f at d-shifted spot points.
+    fails.  It is verified once, before either engine runs: from declared
+    ``residues`` without evaluating f (block engine only), or by
+    :func:`_analyze`.  The final check is then exact: d is a period iff
+    the verified period divides it.
     """
     m = f.modulus
     if engine == "block":
-        sampler: _Sampler = _BlockSampler(_structure(f))
+        structure = _structure(f)
+        sampler: _Sampler = _BlockSampler(structure)
     elif engine == "program":
-        sampler = _ProgramSampler(f, _analyze(f))  # the literal oracle needs the sorted values
+        structure = _analyze(f)  # the literal oracle needs the sorted values
+        sampler = _ProgramSampler(f, structure)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
@@ -503,21 +504,13 @@ def eqpa(
                 d, left = d_after, sweep[j + 2:] + sweep
                 break
 
-    _final_check(f, d)
+    _final_check(f, d, structure.period)
     return d, trace
 
 
-def _final_check(f: PeriodicFunction, d: int) -> None:
-    m = f.modulus
-    if f.residues is not None:
-        periodic = all(d % x == 0 for x in f.residues)
-    else:
-        if m <= 4096:
-            xs = np.arange(m, dtype=np.int64)
-        else:
-            xs = np.random.default_rng(0xD00D).integers(0, m, size=64)
-        periodic = np.array_equal(np.asarray(f(xs)), np.asarray(f((xs + d) % m)))
-    if not periodic:
+def _final_check(f: PeriodicFunction, d: int, r: int | None = None) -> None:
+    """Raise PromiseViolation unless f's period (declared, else ``r``) divides d."""
+    if d % (math.lcm(*f.residues) if f.residues is not None else r):
         raise PromiseViolation(f"returned divisor {d} is not a period of the function")
 
 

@@ -123,6 +123,35 @@ class TestPrimeHelpers:
         for limit in range(-1, 200):
             assert primes_below(limit) == [p for p in range(2, limit) if is_prime(p)]
 
+    def test_sieve_matches_sympy_up_to_the_cap(self):
+        rng = random.Random(24)
+        cap = factorint._MAX_PERIOD
+        for _ in range(12):
+            i = rng.randrange(1, sympy.primepi(cap) + 1)
+            assert nth_prime(i) == sympy.prime(i)
+            p = sympy.prevprime(rng.randrange(3, cap + 1))
+            assert prime_index(p) == sympy.primepi(p) - 1
+            limit = rng.randrange(cap + 1)
+            below = primes_below(limit)
+            assert len(below) == sympy.primepi(limit - 1)
+            assert below[-50:] == list(sympy.primerange(limit - 2000, limit))[-50:]
+        assert primes_below(1 << 16) == list(sympy.primerange(1 << 16))
+        assert nth_prime(sympy.primepi(cap)) == sympy.prevprime(cap)
+        assert all(type(x) is int for x in (nth_prime(9), prime_index(23), *primes_below(30)))
+
+    def test_prime_index_rejects_a_composite(self):
+        for n in (0, 1, 4, 561, (1 << 23) + 1):
+            with pytest.raises(ValueError, match="not prime"):
+                prime_index(n)
+
+    def test_requests_past_the_sieve_cap_raise_at_once(self):
+        for call in (lambda: nth_prime(2_000_000), lambda: prime_index(sympy.nextprime(1 << 24)),
+                     lambda: primes_below((1 << 24) + 1)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="sieve cap"):
+                call()
+            assert time.perf_counter() - start < 1.0
+
 
 class TestOrderFind:
     @pytest.mark.parametrize("a,N", [(2, 15), (4, 15), (7, 15), (2, 21), (5, 21), (10, 33)])

@@ -233,6 +233,12 @@ class TestGcdProtocol:
     def test_prime_power_exponents(self):
         assert gcd_protocol([8, 12], 5, seed=4).output == 4
 
+    def test_mersenne_prime_decodes_from_the_sieve(self):
+        start = time.perf_counter()
+        res = gcd_protocol([524287, 524287], 19)
+        assert time.perf_counter() - start < 0.2
+        assert res.accept and res.output == 524287
+
 
 class TestPsiProtocol:
     def test_overlapping_pair(self):

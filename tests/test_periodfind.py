@@ -23,7 +23,7 @@ from qperiod.periodfind import (
 )
 from qperiod.amplify import boost_from_half
 from qperiod import periodfind
-from qperiod.periodfind import _analyze, _BlockSampler, _final_check, _floor_sum, _Structure
+from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check, _floor_sum, _Structure
 from qperiod.qstate import good_mass
 
 
@@ -786,3 +786,166 @@ def test_settled_tail_matches_per_iteration_loop():
 
     check()
     assert seen == {"r = 1", "d = r at the last j", "m > 2^32"}
+
+
+# ---------------------------------------------------------------------------
+# one promise check before the run, against the earlier two-check design
+
+
+def _two_check_analyze(f: PeriodicFunction) -> _Structure:
+    """``_analyze`` as it was when ``_final_check`` still evaluated f: the
+    reference for the single promise check."""
+    m = f.modulus
+    scanned = [np.asarray(f(np.array([0]))).ravel()]
+    f0 = int(scanned[0][0])
+    r = m
+    start, chunk = 1, 4096
+    while start < m:
+        if start > _MAX_PERIOD:
+            raise ValueError(f"period exceeds the budget of {_MAX_PERIOD} points")
+        part = np.asarray(f(np.arange(start, min(start + chunk, m), dtype=np.int64)))
+        scanned.append(part)
+        hits = np.nonzero(part == f0)[0]
+        if hits.size:
+            r = start + int(hits[0])
+            break
+        start += chunk
+    if m % r:
+        raise PromiseViolation(f"detected period {r} does not divide modulus {m}")
+    vals = np.concatenate(scanned)  # f on [0, r) at least; all of [0, m) when m <= 4096
+    if m <= 4096:
+        periodic = np.array_equal(vals, vals[np.arange(m) % r])
+    elif f.table is not None:
+        periodic = bool((f.table.reshape(-1, r) == f.table[:r]).all())
+    else:
+        probe = np.random.default_rng(0x5EED).integers(0, m, size=64)
+        periodic = np.array_equal(np.asarray(f(probe)), np.asarray(f(probe % r)))
+    if not periodic:
+        raise PromiseViolation("function is not periodic with the detected period")
+    in_period = vals[:r]
+    in_period.sort()  # vals is a fresh array; sorting in place saves a copy of r values
+    if np.any(in_period[1:] == in_period[:-1]):
+        raise PromiseViolation("function repeats a value inside one period")
+    return _Structure(m, r, in_period)
+
+
+def _two_check_final_check(f: PeriodicFunction, d: int) -> None:
+    m = f.modulus
+    if f.residues is not None:
+        periodic = all(d % x == 0 for x in f.residues)
+    else:
+        if m <= 4096:
+            xs = np.arange(m, dtype=np.int64)
+        else:
+            xs = np.random.default_rng(0xD00D).integers(0, m, size=64)
+        periodic = np.array_equal(np.asarray(f(xs)), np.asarray(f((xs + d) % m)))
+    if not periodic:
+        raise PromiseViolation(f"returned divisor {d} is not a period of the function")
+
+
+def _outcome(f, seed, engine):
+    try:
+        period, trace = eqpa(f, np.random.default_rng(seed), engine=engine)
+    except ValueError as exc:  # PromiseViolation included
+        return type(exc)
+    return period, trace.records, (trace.fourier_calls, trace.oracle_calls, trace.sweeps)
+
+
+_BREAKS = ("valid", "repeat", "non-dividing", "break", "residue probe", "shift probe", "shifted point")
+
+
+def _sweep_function(rng):
+    """A function from a seeded family: valid, or broken one way, as a
+    table or an opaque evaluator, and the break's kind."""
+    m = int(rng.choice([rng.integers(1, 81), rng.integers(81, 4097), rng.integers(4097, 20_001)]))
+    divisors = [x for x in range(1, m + 1) if m % x == 0]
+    r = int(rng.choice(divisors))
+    values = rng.permutation(r) * int(rng.integers(1, 1 << 20)) + int(rng.integers(-(2**40), 2**40))
+    table = values.astype(np.int64)[np.arange(m) % r]
+    kind = _BREAKS[rng.integers(len(_BREAKS))]
+    if kind == "repeat" and r >= 2:
+        i, k = rng.choice(r, size=2, replace=False)
+        table = table[:r].copy()
+        table[i] = table[k]
+        table = table[np.arange(m) % r]
+    elif kind == "non-dividing" and m >= 3:
+        r = int(rng.choice([x for x in range(2, m) if m % x] or [m]))
+        table = rng.permutation(m)[:r][np.arange(m) % r].astype(np.int64)
+    elif kind != "valid" and m > r:
+        # "residue probe" and "shift probe" break a point that _analyze's
+        # spot check compares against its residue or against a shift by r
+        # (the points the earlier final check probed); "shifted point"
+        # breaks the partner (x + r) mod m of a shift probe
+        if kind == "residue probe":
+            points = np.random.default_rng(0x5EED).integers(0, m, size=64)
+        elif kind == "shift probe":
+            points = np.random.default_rng(0xD00D).integers(0, m, size=64)
+        elif kind == "shifted point":
+            points = (np.random.default_rng(0xD00D).integers(0, m, size=64) + r) % m
+        else:
+            points = np.arange(r, m)
+        points = points[points >= r]
+        if points.size:
+            table = table.copy()
+            table[rng.choice(points)] = values[0] - 1 if rng.random() < 0.5 else values[rng.integers(r)] + 1
+    if rng.random() < 0.5:
+        return PeriodicFunction.from_table(table), kind
+    return PeriodicFunction(modulus=m, evaluator=lambda x: table[x]), kind
+
+
+def test_single_promise_check_matches_two_check_reference(monkeypatch):
+    """Seeded sweep: the period, records and counters, or the exception
+    class, are those of the design that re-checked f after the run."""
+    rng = np.random.default_rng(2026)
+    cases = [(_sweep_function(rng), seed) for seed in range(600)]
+    outcomes = [
+        [_outcome(f, seed, engine) for engine in ("block", "program")[: 2 if f.modulus <= 80 else 1]]
+        for (f, _), seed in cases
+    ]
+    seen = set()
+    final = []
+    monkeypatch.setattr(periodfind, "_analyze", _two_check_analyze)
+    monkeypatch.setattr(periodfind, "_final_check",
+                        lambda f, d, r=None: final.append(d) or _two_check_final_check(f, d))
+    for ((f, kind), seed), got in zip(cases, outcomes, strict=True):
+        for engine, outcome in zip(("block", "program"), got):
+            final.clear()
+            assert outcome == _outcome(f, seed, engine), (kind, f.modulus, seed, engine)
+            seen.add((kind, "m > 4096" if f.modulus > 4096 else "m <= 4096", "opaque" if f.table is None else "table"))
+            seen.add(engine)
+            if final and outcome is PromiseViolation:
+                seen.add("seen by the shift probes only")
+    assert {"block", "program", "seen by the shift probes only"} <= seen
+    for kind in _BREAKS:
+        for size in ("m > 4096", "m <= 4096"):
+            assert {(kind, size, "opaque"), (kind, size, "table")} <= seen, (kind, size)
+
+
+def test_block_engine_evaluates_an_undeclared_function_only_in_analyze(monkeypatch):
+    points = {"analyze": 0, "elsewhere": 0}
+    inside = []
+
+    def evaluate(x):
+        points["analyze" if inside else "elsewhere"] += np.size(x)
+        return x % 12
+
+    def analyze(g):
+        inside.append(g)
+        try:
+            return _analyze(g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(periodfind, "_analyze", analyze)
+    for m in (48, 12 << 10):  # every point checked, and spot points only
+        assert eqpa(PeriodicFunction(modulus=m, evaluator=evaluate), np.random.default_rng(m))[0] == 12
+    assert points["elsewhere"] == 0 and points["analyze"] > 0
+
+
+def test_final_check_rejects_a_divisor_the_verified_period_does_not_divide():
+    f = PeriodicFunction(modulus=72, evaluator=_never_evaluated)
+    for d in (12, 36, 72):
+        _final_check(f, d, 12)
+    for d in (4, 6, 9, 18):
+        with pytest.raises(PromiseViolation, match=f"returned divisor {d} "):
+            _final_check(f, d, 12)
