@@ -244,6 +244,8 @@ def _mask_secret(x: int, m_bits: int, rng: np.random.Generator) -> int:
     """Multiply x by a random q so the product lands in [2^m, 2^{m+1})."""
     lo = -(-(1 << m_bits) // x)  # ceil
     hi = -(-(1 << (m_bits + 1)) // x) - 1
+    if hi >= 1 << 63:  # rng.integers draws int64
+        raise ProtocolError(f"masking range at {m_bits} bits passes int64")
     q = int(rng.integers(lo, hi + 1))
     return x * q
 

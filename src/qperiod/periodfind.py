@@ -52,11 +52,6 @@ from .qstate import (
 
 MASS_TOL = 1e-9
 
-# Desk-scale ceiling for the modulus: evaluators take int64 arrays of
-# points in [0, m), to which _analyze's spot check adds r <= m.  The block
-# sampler works in Python ints and needs no bound of its own.
-_MAX_MODULUS = 1 << 40
-
 # Largest period _analyze scans for (its scan, the values it keeps and its
 # sort grow with the period; declared functions are never scanned), and the
 # cap of factorint's prime sieve.
@@ -71,7 +66,8 @@ class PromiseViolation(ValueError):
 class PeriodicFunction:
     """A function on Z_m promised to be exactly periodic with r | m.
 
-    ``evaluator`` must accept int64 arrays.  ``table``, set by
+    ``evaluator`` takes int64 arrays of points, so a function that is
+    evaluated (any undeclared one) needs m <= 2^63.  ``table``, set by
     :meth:`from_table`, holds every value, so the promise check reads all
     of it instead of spot points.  ``residues`` declares
     that f(x) is an injective function of (x mod x_0, ..., x mod x_{n-1}):
@@ -88,8 +84,6 @@ class PeriodicFunction:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        if self.modulus > _MAX_MODULUS:
-            raise ValueError(f"modulus {self.modulus} beyond desk-scale bound {_MAX_MODULUS}")
         if self.residues is not None and not all(x >= 1 for x in self.residues):
             raise ValueError("declared residue moduli must be positive")
 
@@ -156,7 +150,9 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     else:
         x = np.random.default_rng(0x5EED).integers(0, m, size=64)
         y = np.random.default_rng(0xD00D).integers(0, m, size=64)
-        periodic = np.array_equal(f(np.r_[x, y]), f(np.r_[x % r, (y + r) % m]))
+        # (y + r) mod m; a sum past 2^63 only falls in lanes that take y - (m - r)
+        shifted = np.where(y < m - r, y + r, y - (m - r))
+        periodic = np.array_equal(f(np.r_[x, y]), f(np.r_[x % r, shifted]))
     if not periodic:
         raise PromiseViolation("function is not periodic with the detected period")
     in_period = vals[:r]

@@ -218,7 +218,8 @@ def uniform_prep(state: SparseState, reg: str) -> SparseState:
 
     Requires the register to hold 0 in every stored entry; this is the
     state-preparation facet of the Fourier transform (identical output,
-    cheaper bookkeeping).
+    cheaper bookkeeping), and shares its output cap, checked before
+    anything is allocated.
     """
     col = state._col(reg)
     d = state.layout.dims[col]
@@ -227,6 +228,8 @@ def uniform_prep(state: SparseState, reg: str) -> SparseState:
     if d == 1:
         return state._replace(state._vals.copy(), state._amps.copy())
     n = state.num_entries
+    if n * d > _MAX_DFT_OUTPUT:
+        raise QStateError("uniform preparation exceeds sparse capacity")
     vals = np.repeat(state._vals, d, axis=0)
     vals[:, col] = np.tile(np.arange(d, dtype=np.int64), n)
     amps = np.repeat(state._amps / math.sqrt(d), d)

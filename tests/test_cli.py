@@ -253,24 +253,57 @@ def test_factor_past_the_rho_budget_exits_two(capsys):
     assert json.loads(out)["output"]["factors"] == [1073741789, 2147483647]
 
 
-def test_psi_over_full_eight_element_universe_exits_two(capsys):
+def test_psi_over_full_eight_element_universe_prints_it(capsys):
     # the encodings have 24 bits; the inner GCD indexes primes against 2^24
-    # without listing them, then the joint modulus is past the simulator's bound
+    # without listing them, and the joint modulus k ~ 8.5e14 is block-engine work
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "psi", "--sets", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", "--universe", "8")
     assert time.perf_counter() - start < 2.0
-    assert code == 2
-    assert out == ""
+    assert code == 0
+    assert json.loads(out)["output"] == list(range(8))
 
 
-def test_gcd_of_31_bit_primes_exits_two_at_the_modulus_bound(capsys):
-    # the radicals go to the inner LCM as they are, with no prime listed up to 2^31
+def test_gcd_of_31_bit_primes_exits_two_at_the_sieve_cap(capsys):
+    # the joint LCM of the radicals runs; decoding its prime needs pi(2^31 - 1),
+    # past the prime sieve's cap
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "gcd", "--inputs", "2147483647,2147483647", "--bits", "31")
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
-    assert "modulus" in err
+    assert "sieve cap" in err
+
+
+def test_psu_over_ten_elements_at_three_parties(capsys):
+    # k ~ 8.9e16: past 2^40, within reach of the block engine
+    code, out, _ = run_cli(capsys, "psu", "--sets", "0,1,2;3,4,5;6,7,8,9", "--universe", "10")
+    assert code == 0
+    assert json.loads(out)["output"] == list(range(10))
+
+
+@pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (("lcm", "--inputs", "5,7", "--bits", "70"), 70),
+        # the GCD's inner LCM masks the radical 2 (the set {0}) at the 65 bits of
+        # the full universe's encoding
+        (("psi", "--sets", "0;0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15", "--universe", "16"), 65),
+    ],
+)
+def test_masking_past_int64_exits_two(capsys, argv, bits):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: masking range at {bits} bits passes int64\n"
+
+
+@pytest.mark.parametrize("m", [(1 << 63) + 2, 1 << 64])
+def test_eqpa_past_int64_points_exits_two(capsys, m):
+    # an undeclared function is evaluated on int64 points, so m <= 2^63
+    code, out, err = run_cli(capsys, "eqpa", "--r", "2", "--m", str(m))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # SHA-256 of the stdout and of the --transcript file of fixed-seed protocol

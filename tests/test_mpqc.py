@@ -67,6 +67,23 @@ class TestLcmProtocol:
         with pytest.raises(ProtocolError):
             lcm_protocol([4], 5)
 
+    def test_eight_parties_of_32_bit_primes(self):
+        # k = prod(y_i) ~ 2^264: block-engine work, with no period scanned
+        primes = [4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161, 4294967143, 4294967111]
+        start = time.perf_counter()
+        res = lcm_protocol(primes, 32, seed=1)
+        assert time.perf_counter() - start < 2.0
+        assert res.accept and res.output == math.prod(primes)
+        assert leakage_audit(res, primes).passed
+
+    def test_masking_past_int64_refused_before_the_draw(self):
+        rng = np.random.default_rng(5)
+        assert _mask_secret(1, 62, rng) >> 62 == 1  # q <= 2^63 - 1, the widest int64 draw
+        state = rng.bit_generator.state
+        with pytest.raises(ProtocolError, match="masking range at 63 bits passes int64"):
+            _mask_secret(1, 63, rng)  # q would reach 2^64 - 1
+        assert rng.bit_generator.state == state
+
     def test_round_counter_is_parties_times_passes(self):
         for secrets in ([4, 6], [3, 5, 8], [7, 9, 10]):
             res = lcm_protocol(secrets, 5, seed=3)

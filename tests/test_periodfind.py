@@ -1,6 +1,7 @@
 """Tests for Fourier sampling, the probabilistic baseline, and the exact finder."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from qperiod.periodfind import (
 from qperiod.amplify import boost_from_half
 from qperiod import periodfind
 from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check, _floor_sum, _Structure
-from qperiod.qstate import good_mass
+from qperiod.qstate import QStateError, good_mass
 
 
 def ceil_log2(x: int) -> int:
@@ -586,6 +587,32 @@ def test_block_sampler_resolves_exact_ties(r, c):
 def test_block_engine_needs_no_int64_bound():
     f = PeriodicFunction.modular(1 << 22, 1 << 40)
     assert eqpa(f, np.random.default_rng(0))[0] == 1 << 22
+
+
+def test_declared_function_past_int64():
+    f = PeriodicFunction(modulus=1 << 80, evaluator=_never_evaluated, residues=(1 << 40, 1 << 79, 1 << 63))
+    assert eqpa(f, np.random.default_rng(0))[0] == 1 << 79
+
+
+@pytest.mark.parametrize("r, m", [(3, (1 << 63) - 2), (4, 1 << 63)])
+def test_opaque_function_up_to_int64_points(r, m):
+    # every point of Z_m fits int64, and so does the spot check's shift by r
+    f = PeriodicFunction(modulus=m, evaluator=lambda x: x % r)
+    assert eqpa(f, np.random.default_rng(0))[0] == r
+
+
+def test_program_engine_refuses_past_capacity_before_allocating():
+    # the index register alone would hold 2^23 entries, 384 MiB with the
+    # four-register rows and amplitudes
+    f = PeriodicFunction.modular(2, 1 << 23)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QStateError, match="exceeds sparse capacity"):
+            eqpa(f, np.random.default_rng(0), engine="program")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

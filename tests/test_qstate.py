@@ -527,6 +527,21 @@ def test_dft_output_cap_raises_before_allocating():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("entries, d", [(1, _MAX_DFT_OUTPUT + 1), (2, _MAX_DFT_OUTPUT // 2 + 1)])
+def test_uniform_prep_cap_raises_before_allocating(entries, d):
+    # entries * d is just past the cap
+    lay = RegisterLayout.of(("e", 2), ("h", d))
+    state = SparseState(lay, np.array([[i, 0] for i in range(entries)]), np.full(entries, math.sqrt(1 / entries)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QStateError, match="exceeds sparse capacity"):
+            uniform_prep(state, "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_dft_buffer_cap_raises_before_allocating():
     # entries {0, 1} in a 2^30 register form one group of length 2^30, whose
     # FFT buffer alone would take 16 GiB
