@@ -259,7 +259,9 @@ def order_find_exact(a: int, N: int, multiple: int, rng: np.random.Generator | N
     """Exact order of a mod N from a known multiple, via the exact period finder.
 
     Deterministic: the result does not depend on the rng.  Raises if the
-    supplied value is not actually a multiple of the order (promise failure).
+    supplied value is not actually a multiple of the order (promise failure),
+    and raises :class:`ValueError` for N past 2^63, whose residues do not
+    fit the evaluator's int64 values.
     """
     if N < 2:
         raise ValueError("modulus must be >= 2")
@@ -268,6 +270,8 @@ def order_find_exact(a: int, N: int, multiple: int, rng: np.random.Generator | N
         raise ValueError(f"{a} is not coprime to {N}")
     if multiple < 1:
         raise ValueError("multiple must be positive")
+    if N > 1 << 63:
+        raise ValueError(f"modulus {N} exceeds 2^63: its residues must fit int64")
 
     def evaluate(xs):
         flat = np.asarray(xs, dtype=np.int64).ravel()

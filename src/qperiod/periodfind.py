@@ -20,7 +20,10 @@ Two samplers drive the same loop: ``engine="block"`` evaluates the boosted
 measurement distribution in the invariant 2r-dimensional block basis
 |k>|G_k>|b>|mark> (exact and fast: the residual function-register states
 G_k are orthonormal, so they never affect the index marginal), while
-``engine="program"`` runs the literal program composition step by step.
+``engine="program"`` runs the literal program composition step by step:
+its (d, j)-free prefix (index, f, Fourier transform, coin) once per run,
+then one literal boost per distinct (d, j), whose (index, b, good)
+marginal it keeps, so repeated iterations draw from the cached marginal.
 Both consume one rng draw per iteration and produce identical traces.
 Once d = r no outcome can update d, so the rest of the run is known in
 advance; the block engine then takes all of its draws in one
@@ -41,13 +44,15 @@ from .amplify import (
     OracleStep,
     PrepStep,
     ReversibleProgram,
-    boost_from_half,
+    amplification_operator,
 )
 from .qstate import (
     ClassicalOracle,
     GoodPredicate,
     RegisterLayout,
-    measure_joint,
+    _walk,
+    good_mass,
+    joint_marginal,
 )
 
 MASS_TOL = 1e-9
@@ -125,8 +130,12 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     is verified on every point when the first scan chunk holds all of f
     (m <= 4096) or f is a table, else on 64 fixed spot points against their
     residue mod r and 64 against a shift by r.  No later code evaluates f.
+    A modulus past 2^63 raises :class:`ValueError` before any point is
+    evaluated or drawn: its points do not fit int64.
     """
     m = f.modulus
+    if m > 1 << 63:
+        raise ValueError(f"modulus {m} of an undeclared function exceeds 2^63: its points must fit int64")
     scanned = [np.asarray(f(np.array([0]))).ravel()]
     f0 = int(scanned[0][0])
     r = m
@@ -425,22 +434,40 @@ class _BlockSampler(_Sampler):
 
 
 class _ProgramSampler(_Sampler):
-    """Literal iteration: build the marked program, boost, measure.
+    """Literal iteration: the marked program, one boost, one measurement.
 
     The value register has dimension m, so f is loaded as the rank of its
     value among the r sorted in-period values: the same level sets as f,
     with values in [0, r) that cannot collide mod m whatever f's range.
+
+    Only the mark oracle, the last step of :func:`marked_program`, depends
+    on (d, j), so the state before it is prepared once per run.  Each
+    distinct (d, j) is boosted once, literally, and only the boosted
+    state's (index, b, good) marginal (at most 2r rows, where the state
+    holds up to 2r^2 entries) and the good mass before the boost are kept.
+    Every iteration, repeats included, draws from that marginal with the
+    one rng draw :func:`measure_joint` would take on the boosted state.
     """
 
     def __init__(self, f: PeriodicFunction, structure: _Structure):
         values = structure.values
         self.f = PeriodicFunction(modulus=f.modulus, evaluator=lambda x: np.searchsorted(values, f(x)))
+        program = marked_program(self.f, 1, -1)
+        self.unmarked = ReversibleProgram(program.layout, program.steps[:-1]).run()
+        self.marginals: dict[tuple[int, int], tuple[list, np.ndarray, float]] = {}
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-        program = marked_program(self.f, d, j)
-        boost = boost_from_half(program, goodness(d, self.f.modulus, j))
-        (k, b, chi), _ = measure_joint(boost.state, ("index", "b", "good"), rng)
-        return k, b, chi, boost.mass_before
+        cached = self.marginals.get((d, j))
+        if cached is None:
+            program = marked_program(self.f, d, j)
+            good = goodness(d, self.f.modulus, j)
+            prepared = program.steps[-1].apply(self.unmarked)
+            boosted = amplification_operator(program, good, 1j, 1j, prepared)
+            outcomes, _, mass = joint_marginal(boosted, ("index", "b", "good"))
+            cached = self.marginals[d, j] = (outcomes.tolist(), np.cumsum(mass), good_mass(prepared, good))
+        outcomes, cumulative, mass_before = cached
+        k, b, chi = outcomes[_walk(cumulative, rng)]
+        return k, b, chi, mass_before
 
 
 # ---------------------------------------------------------------------------

@@ -424,10 +424,15 @@ def measure(state: SparseState, reg: str, rng: np.random.Generator) -> tuple[int
     return outcome, post
 
 
-def measure_joint(
-    state: SparseState, regs: Sequence[str], rng: np.random.Generator
-) -> tuple[tuple[int, ...], SparseState]:
-    """Jointly sample several registers with a single rng draw."""
+def joint_marginal(
+    state: SparseState, regs: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact joint marginal of several registers.
+
+    Returns ``(outcomes, group, mass)``: the distinct values of the
+    registers, one row per outcome in lexicographic order; the outcome
+    index of every stored entry; and each outcome's probability mass.
+    """
     cols = [state._col(r) for r in regs]
     if state.num_entries == 0:
         raise QStateError("cannot measure a state with no entries")
@@ -436,8 +441,15 @@ def measure_joint(
     group = np.empty(state.num_entries, dtype=np.int64)
     group[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
     mass = np.bincount(group, weights=state.probabilities(), minlength=len(starts))
+    return sub[order[starts]], group, mass
+
+
+def measure_joint(
+    state: SparseState, regs: Sequence[str], rng: np.random.Generator
+) -> tuple[tuple[int, ...], SparseState]:
+    """Jointly sample several registers with a single rng draw."""
+    outcomes, group, mass = joint_marginal(state, regs)
     pick = _walk(np.cumsum(mass), rng)
-    outcome = tuple(int(v) for v in sub[order[starts[pick]]])
     keep = group == pick
     amps = state._amps[keep] / math.sqrt(float(mass[pick]))
-    return outcome, state._replace(state._vals[keep], amps)
+    return tuple(int(v) for v in outcomes[pick]), state._replace(state._vals[keep], amps)

@@ -306,6 +306,15 @@ def test_eqpa_past_int64_points_exits_two(capsys, m):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [("eqpa",), ("qpa-compare", "--trials", "2"), ("bench", "--trials", "2")])
+def test_modulus_past_two_to_the_63_names_the_bound(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--r", "2", "--m", str(1 << 64))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: modulus {1 << 64} of an undeclared function exceeds 2^63: "
+                   "its points must fit int64\n")
+
+
 # SHA-256 of the stdout and of the --transcript file of fixed-seed protocol
 # runs: the bytes must stay the same from one version of the code to the next.
 _GOLDEN = [

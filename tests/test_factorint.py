@@ -189,6 +189,15 @@ class TestOrderFindExact:
         with pytest.raises(PromiseViolation):
             order_find_exact(2, 15, 6)
 
+    def test_modulus_up_to_two_to_the_63(self):
+        # every residue below 2^63 fits int64; both bases square to 1
+        assert order_find_exact(2**63 - 1, 2**63, 4) == 2
+        assert order_find_exact(2**62 + 1, 2**63, 4) == 2
+
+    def test_modulus_past_two_to_the_63_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"modulus 18446744073709551629 exceeds 2\^63"):
+            order_find_exact(3, 2**64 + 13, 1 << 20)
+
 
 class TestShorFactor:
     def test_fifteen(self):

@@ -25,7 +25,7 @@ from qperiod.periodfind import (
 from qperiod.amplify import boost_from_half
 from qperiod import periodfind
 from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check, _floor_sum, _Structure
-from qperiod.qstate import QStateError, good_mass
+from qperiod.qstate import QStateError, good_mass, measure_joint
 
 
 def ceil_log2(x: int) -> int:
@@ -601,6 +601,14 @@ def test_opaque_function_up_to_int64_points(r, m):
     assert eqpa(f, np.random.default_rng(0))[0] == r
 
 
+def test_undeclared_modulus_past_int64_points_is_refused_before_evaluating():
+    for m in ((1 << 63) + 1, 1 << 64):
+        f = PeriodicFunction(modulus=m, evaluator=_never_evaluated)
+        with pytest.raises(ValueError, match=rf"modulus {m} of an undeclared function exceeds 2\^63") as info:
+            eqpa(f, np.random.default_rng(0))
+        assert not isinstance(info.value, PromiseViolation)
+
+
 def test_program_engine_refuses_past_capacity_before_allocating():
     # the index register alone would hold 2^23 entries, 384 MiB with the
     # four-register rows and amplitudes
@@ -613,6 +621,93 @@ def test_program_engine_refuses_past_capacity_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the program sampler's per-run cache
+
+
+class _FreshBoostSampler(periodfind._Sampler):
+    """Reference program sampler: a fresh marked program, boost and joint
+    measurement on every iteration, repeats of (d, j) included."""
+
+    def __init__(self, f, structure):
+        values = structure.values
+        self.f = PeriodicFunction(modulus=f.modulus, evaluator=lambda x: np.searchsorted(values, f(x)))
+
+    def sample(self, d, j, rng):
+        boost = boost_from_half(marked_program(self.f, d, j), goodness(d, self.f.modulus, j))
+        (k, b, chi), _ = measure_joint(boost.state, ("index", "b", "good"), rng)
+        return k, b, chi, boost.mass_before
+
+
+def _cache_sweep_functions():
+    gen = np.random.default_rng(15)
+    for _ in range(12):
+        r = int(gen.integers(2, 25))
+        m = r * int(gen.integers(1, 120 // r + 1))
+        perm = gen.permutation(m)[:r]
+        yield PeriodicFunction.from_table(perm[np.arange(m) % r])  # generic permutation
+        yield PeriodicFunction.from_table((perm * m + 5)[np.arange(m) % r])  # values collide mod m
+        yield PeriodicFunction.modular(r, r)  # r = m
+
+
+def test_program_engine_matches_a_fresh_boost_per_iteration(monkeypatch):
+    repeats = 0
+    for seed, f in enumerate(_cache_sweep_functions()):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        p1, t1 = eqpa(f, rngs[0], engine="program")
+        with monkeypatch.context() as patch:
+            patch.setattr(periodfind, "_ProgramSampler", _FreshBoostSampler)
+            p2, t2 = eqpa(f, rngs[1], engine="program")
+        assert p1 == p2
+        assert t1 == t2  # records, good_mass floats included, and counters
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        repeats += len(t1.records) - len({(rec.d_before, rec.j) for rec in t1.records})
+    assert repeats > 0
+
+
+def test_program_engine_boosts_each_distinct_iteration_once(monkeypatch):
+    boosted = []
+    operator = periodfind.amplification_operator
+
+    def counting(program, good, *args):
+        boosted.append(good.name)
+        return operator(program, good, *args)
+
+    monkeypatch.setattr(periodfind, "amplification_operator", counting)
+    perm = np.random.default_rng(24).permutation(24)
+    for seed in range(3):
+        boosted.clear()
+        _, trace = eqpa(PeriodicFunction.from_table(perm[np.arange(96) % 24]), np.random.default_rng(seed),
+                        engine="program")
+        distinct = {f"mark(d={rec.d_before},j={rec.j})" for rec in trace.records}
+        assert sorted(boosted) == sorted(distinct)
+        assert len(trace.records) > len(distinct)
+
+
+def test_program_engine_peak_memory_is_one_boost():
+    # the cache keeps the unmarked state and 2r-row marginals, never a
+    # boosted state of up to 2r^2 entries per (d, j).  The later boosts
+    # peak lower than the first, so a cache of boosted states would not
+    # raise the run's peak here; it shows in the memory held between
+    # iterations (about 0.1 of one boost's peak, 0.5 with boosted states)
+    r, m = 64, 4096
+    f = PeriodicFunction.modular(r, m)
+    held = []
+    tracemalloc.start()
+    try:
+        boost_from_half(marked_program(f, 1, -1), goodness(1, m, -1))
+        one_boost = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        period, _ = eqpa(f, np.random.default_rng(0), engine="program",
+                         on_iteration=lambda record: held.append(tracemalloc.get_traced_memory()[0]))
+        one_run = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert period == r
+    assert one_run <= 1.25 * one_boost
+    assert max(held) <= 0.25 * one_boost
 
 
 # ---------------------------------------------------------------------------
