@@ -26,8 +26,6 @@ from .amplify import (
     ReversibleProgram,
     amplification_operator,
     boost_from_half,
-    boost_from_quarter,
-    run_program,
 )
 from .periodfind import (
     EqpaTrace,
@@ -38,7 +36,6 @@ from .periodfind import (
     fourier_sampling_program,
     goodness,
     marked_program,
-    rep,
     standard_qpa,
 )
 from .factorint import (
@@ -50,7 +47,6 @@ from .factorint import (
     order_find,
     order_find_exact,
     prime_encode,
-    shor_factor,
 )
 from .mpqc import (
     AuditReport,

@@ -5,8 +5,10 @@ the "good" entries, undo the preparation ``A``, flip the phase of the
 all-zero tuple, re-run ``A``, then negate globally.  With both phases equal
 to ``-1`` this is the familiar Grover iteration; with both phases equal to
 ``i`` a single application turns success probability exactly 1/2 into 1,
-and with ``-1`` it turns exactly 1/4 into 1.  Those two one-shot regimes are
-what the exact period finder relies on.
+the only regime the exact period finder uses.  With phases ``-1`` a single
+application also turns exactly 1/4 into 1 (Brassard-Hoyer-Mosca-Tapp); that
+regime remains a property of :func:`amplification_operator`, which the
+tests check.
 
 ``A^{-1}`` is realised by running the list of step inverses in reverse
 order, never by matrix inversion, so sparsity and exactness are preserved.
@@ -114,11 +116,6 @@ class ReversibleProgram:
             state = step.apply_inverse(state)
         return state
 
-    @property
-    def fourier_steps(self) -> int:
-        """Number of explicit Fourier-transform steps (prep steps excluded)."""
-        return sum(1 for s in self.steps if isinstance(s, DftStep))
-
 
 @dataclass(frozen=True)
 class BoostResult:
@@ -133,10 +130,6 @@ class BoostResult:
     mass_before: float
     mass_after: float
     at_expected_mass: bool
-
-
-def run_program(program: ReversibleProgram) -> SparseState:
-    return program.run()
 
 
 def amplification_operator(
@@ -160,20 +153,10 @@ def amplification_operator(
     return SparseState(state.layout, state._vals, -state._amps)
 
 
-def _boost(program: ReversibleProgram, good: GoodPredicate, phase: complex, expected_mass: float) -> BoostResult:
-    """One amplification with both phases equal, gated on the expected good mass."""
-    prepared = program.run()
-    before = good_mass(prepared, good)
-    boosted = amplification_operator(program, good, phase, phase, prepared)
-    after = good_mass(boosted, good)
-    return BoostResult(boosted, before, after, abs(before - expected_mass) <= MASS_TOL)
-
-
 def boost_from_half(program: ReversibleProgram, good: GoodPredicate) -> BoostResult:
     """One amplification with phases i, exact when the good mass is 1/2."""
-    return _boost(program, good, 1j, 0.5)
-
-
-def boost_from_quarter(program: ReversibleProgram, good: GoodPredicate) -> BoostResult:
-    """One amplification with phases -1, exact when the good mass is 1/4."""
-    return _boost(program, good, -1, 0.25)
+    prepared = program.run()
+    before = good_mass(prepared, good)
+    boosted = amplification_operator(program, good, 1j, 1j, prepared)
+    after = good_mass(boosted, good)
+    return BoostResult(boosted, before, after, abs(before - 0.5) <= MASS_TOL)

@@ -303,13 +303,8 @@ def _shor_split_attempt(N: int, rng: np.random.Generator) -> int | None:
     return g if 1 < g < N else None
 
 
-def shor_factor(N: int, rng: np.random.Generator) -> int:
-    """Nontrivial divisor of an odd composite N that is not a prime power."""
-    divisor, _ = _shor_split(N, rng)
-    return divisor
-
-
 def _shor_split(N: int, rng: np.random.Generator) -> tuple[int, int]:
+    """(divisor, attempts): a nontrivial divisor of an odd composite N that is not a prime power."""
     if N % 2 == 0:
         raise ValueError("N must be odd")
     if is_prime(N):
@@ -329,12 +324,6 @@ class FactorizationResult:
     factors: tuple[int, ...]
     methods: tuple[str, ...]
     trials: int
-
-    def as_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.factors:
-            out[p] = out.get(p, 0) + 1
-        return out
 
 
 # Names every classical path, whichever splitter runs.
@@ -418,11 +407,10 @@ def decode_set(x: int, universe_size: int | None = None) -> frozenset[int]:
         raise ValueError("encoded set must be >= 1")
     if x == 1:
         return frozenset()
-    result = factorize(x)
-    counts = result.as_multiset()
-    if any(c > 1 for c in counts.values()):
+    factors = factorize(x).factors
+    if len(set(factors)) < len(factors):
         raise ValueError(f"{x} is not squarefree; not a valid set encoding")
-    indices = {prime_index(p) for p in counts}
+    indices = {prime_index(p) for p in factors}
     if universe_size is not None and any(i >= universe_size for i in indices):
         raise ValueError(f"{x} contains a prime outside the universe of size {universe_size}")
     return frozenset(indices)

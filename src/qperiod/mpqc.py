@@ -230,6 +230,8 @@ def _check_secrets(secrets: Sequence[int], m_bits: int) -> list[int]:
     secrets = [int(s) for s in secrets]
     if len(secrets) < 2:
         raise ProtocolError("need at least two parties")
+    if m_bits < 1:
+        raise ProtocolError(f"bits must be >= 1, got {m_bits}")
     for x in secrets:
         if not 1 <= x < (1 << m_bits):
             raise ProtocolError(f"secret {x} outside [1, 2^{m_bits})")

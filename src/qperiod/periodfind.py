@@ -193,18 +193,6 @@ def fourier_sampling_program(f: PeriodicFunction) -> ReversibleProgram:
     return ReversibleProgram(layout, (PrepStep("index"), OracleStep(oracle), DftStep("index")))
 
 
-def rep(d: int, k: int, m: int) -> int:
-    """Representative of d*k mod m in [0, m); 0 when d*k = 0 (mod m).
-
-    Mapping the zero residue to 0 rather than m keeps multiples of the
-    period's complement out of the good set, which the counting argument
-    behind the half-mass rounds requires.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    return (d * k) % m
-
-
 def goodness(d: int, m: int, j: int) -> GoodPredicate:
     """The marking predicate on (index, b) for divisor d and window exponent j.
 

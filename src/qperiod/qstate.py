@@ -71,18 +71,11 @@ class RegisterLayout:
                 return i
         raise QStateError(f"no register named {name!r}")
 
-    def dim(self, name: str) -> int:
-        return self.registers[self.index(name)][1]
-
-    def total_dim(self) -> int:
-        """Joint dimension as an exact Python integer (may be huge)."""
-        return math.prod(self.dims)
-
 
 class SparseState:
     """Immutable sparse state: basis-value rows plus complex amplitudes."""
 
-    __slots__ = ("layout", "_vals", "_amps", "_lookup")
+    __slots__ = ("layout", "_vals", "_amps")
 
     def __init__(self, layout: RegisterLayout, vals: np.ndarray, amps: np.ndarray):
         self.layout = layout
@@ -92,7 +85,6 @@ class SparseState:
             raise QStateError("basis value array shape does not match layout")
         if self._amps.shape != (self._vals.shape[0],):
             raise QStateError("amplitude array length does not match basis rows")
-        self._lookup: dict[tuple[int, ...], int] | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -111,12 +103,7 @@ class SparseState:
         return np.abs(self._amps) ** 2
 
     def amplitude(self, values: Sequence[int]) -> complex:
-        if self._lookup is None:
-            self._lookup = {
-                tuple(int(v) for v in row): i for i, row in enumerate(self._vals)
-            }
-        idx = self._lookup.get(tuple(int(v) for v in values))
-        return complex(self._amps[idx]) if idx is not None else 0j
+        return self.to_dict().get(tuple(int(v) for v in values), 0j)
 
     def entries(self) -> Iterator[tuple[tuple[int, ...], complex]]:
         for row, amp in zip(self._vals, self._amps):
@@ -151,27 +138,20 @@ class ClassicalOracle:
     The function value is accumulated into the output register modulo its
     dimension (plain XOR when the output is a bit), which makes the induced
     basis map a permutation regardless of the function.  ``fn`` receives one
-    int64 array per input register when ``vectorized`` is true, otherwise
-    plain Python integers row by row.
+    int64 array per input register.
     """
 
     inputs: tuple[str, ...]
     output: str
     fn: Callable[..., object]
-    vectorized: bool = True
     name: str = ""
 
     def values_for(self, state: SparseState) -> np.ndarray:
         cols = [state._vals[:, state._col(r)] for r in self.inputs]
-        if self.vectorized:
-            out = np.asarray(self.fn(*cols), dtype=np.int64)
-            if out.shape != (state.num_entries,):
-                out = np.broadcast_to(out, (state.num_entries,)).astype(np.int64)
-            return out
-        rows = zip(*(c.tolist() for c in cols)) if cols else [()] * state.num_entries
-        return np.fromiter(
-            (int(self.fn(*row)) for row in rows), dtype=np.int64, count=state.num_entries
-        )
+        out = np.asarray(self.fn(*cols), dtype=np.int64)
+        if out.shape != (state.num_entries,):
+            out = np.broadcast_to(out, (state.num_entries,)).astype(np.int64)
+        return out
 
 
 @dataclass(frozen=True)
@@ -269,26 +249,15 @@ def controlled_subtract(state: SparseState, src: str, dst: str, inverse: bool = 
     return state._replace(vals, state._amps.copy())
 
 
-def phase_flip(state: SparseState, predicate, phase: complex) -> SparseState:
+def phase_flip(state: SparseState, predicate: GoodPredicate, phase: complex) -> SparseState:
     """Multiply amplitudes of entries satisfying ``predicate`` by a unit phase."""
     phase = complex(phase)
     if abs(abs(phase) - 1.0) > 1e-12:
         raise QStateError(f"phase {phase} is not of unit modulus")
-    mask = _predicate_mask(state, predicate)
+    mask = predicate.mask(state)
     amps = state._amps.copy()
     amps[mask] *= phase
     return state._replace(state._vals.copy(), amps)
-
-
-def _predicate_mask(state: SparseState, predicate) -> np.ndarray:
-    if isinstance(predicate, GoodPredicate):
-        return predicate.mask(state)
-    # plain callable over full basis tuples (slow path, test convenience)
-    return np.fromiter(
-        (bool(predicate(tuple(int(v) for v in row))) for row in state._vals),
-        dtype=bool,
-        count=state.num_entries,
-    )
 
 
 def zero_predicate(layout: RegisterLayout) -> GoodPredicate:
@@ -406,9 +375,9 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
 # measurement and diagnostics
 
 
-def good_mass(state: SparseState, predicate) -> float:
+def good_mass(state: SparseState, predicate: GoodPredicate) -> float:
     """Total probability mass on entries satisfying the predicate."""
-    mask = _predicate_mask(state, predicate)
+    mask = predicate.mask(state)
     return float(np.sum(np.abs(state._amps[mask]) ** 2))
 
 

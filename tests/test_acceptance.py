@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from qperiod.amplify import (
+    MASS_TOL,
     PhaseFlipStep,
     PrepStep,
     ReversibleProgram,
     amplification_operator,
     boost_from_half,
-    boost_from_quarter,
 )
 from qperiod.cli import main as cli_main
 from qperiod.factorint import _shor_split_attempt, encode_set
@@ -194,9 +194,11 @@ def test_criterion_4_boost_exactness():
         assert abs(res.mass_after - 1.0) <= TOL, (i, res.mass_after)
     for i in range(50):
         program, good = _uniform_instance(rng, 0.25)
-        res = boost_from_quarter(program, good)
-        assert res.at_expected_mass, i
-        assert abs(res.mass_after - 1.0) <= TOL, (i, res.mass_after)
+        prepared = program.run()
+        before = good_mass(prepared, good)
+        after = good_mass(amplification_operator(program, good, -1, -1, prepared), good)
+        assert abs(before - 0.25) <= MASS_TOL, i
+        assert abs(after - 1.0) <= TOL, (i, after)
     report(4, "100 random instances boosted from exactly 1/2 and 1/4 to mass 1 +/- 1e-9")
 
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from qperiod.amplify import (
+    MASS_TOL,
     OracleStep,
     PhaseFlipStep,
     PrepStep,
     ReversibleProgram,
     amplification_operator,
     boost_from_half,
-    boost_from_quarter,
-    run_program,
 )
 from qperiod.qstate import (
     ClassicalOracle,
@@ -47,20 +46,20 @@ def subset_predicate(values):
 
 class TestRun:
     def test_uniform_prep_dim_two(self):
-        s = run_program(uniform_program(2))
+        s = uniform_program(2).run()
         assert s.amplitude((0,)) == pytest.approx(1 / math.sqrt(2))
         assert s.amplitude((1,)) == pytest.approx(1 / math.sqrt(2))
 
     def test_empty_program_gives_zero_state(self):
         lay = RegisterLayout.of(("x", 5))
-        s = run_program(ReversibleProgram(lay, ()))
+        s = ReversibleProgram(lay, ()).run()
         assert s.to_dict() == {(0,): 1 + 0j}
 
     def test_fourier_sampling_program_support_law(self):
         # uniform + residue oracle + transform: index mass 1/r on multiples of m/r
         from qperiod.periodfind import PeriodicFunction, fourier_sampling_program
 
-        s = run_program(fourier_sampling_program(PeriodicFunction.modular(3, 12)))
+        s = fourier_sampling_program(PeriodicFunction.modular(3, 12)).run()
         for k in range(12):
             pred = GoodPredicate(("index",), lambda i, k=k: i == k)
             expected = 1 / 3 if k % 4 == 0 else 0.0
@@ -168,25 +167,25 @@ class TestBoostFromHalf:
         assert res.mass_after == pytest.approx(1.0, abs=1e-9)
 
 
+def boost_with_phases_minus_one(program, good):
+    """Good mass before and after one amplification with both phases -1."""
+    prepared = program.run()
+    boosted = amplification_operator(program, good, -1, -1, prepared)
+    return good_mass(prepared, good), good_mass(boosted, good)
+
+
 class TestBoostFromQuarter:
     def test_uniform_four_single_good(self):
-        res = boost_from_quarter(uniform_program(4), subset_predicate([3]))
-        assert res.at_expected_mass
-        assert res.mass_after == pytest.approx(1.0, abs=1e-9)
+        before, after = boost_with_phases_minus_one(uniform_program(4), subset_predicate([3]))
+        assert abs(before - 0.25) <= MASS_TOL
+        assert after == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_eight_two_good(self):
-        res = boost_from_quarter(uniform_program(8), subset_predicate([2, 7]))
-        assert res.mass_after == pytest.approx(1.0, abs=1e-9)
+        _, after = boost_with_phases_minus_one(uniform_program(8), subset_predicate([2, 7]))
+        assert after == pytest.approx(1.0, abs=1e-9)
 
     def test_half_mass_input_flagged(self):
-        res = boost_from_quarter(uniform_program(4), subset_predicate([0, 2]))
-        assert not res.at_expected_mass
+        before, after = boost_with_phases_minus_one(uniform_program(4), subset_predicate([0, 2]))
+        assert abs(before - 0.25) > MASS_TOL
         # theta = pi/4, one iteration lands at sin^2(3*pi/4) = 1/2
-        assert res.mass_after == pytest.approx(0.5, abs=1e-9)
-
-
-def test_fourier_step_counter_ignores_preparations():
-    from qperiod.periodfind import PeriodicFunction, marked_program
-
-    prog = marked_program(PeriodicFunction.modular(3, 12), 1, 0)
-    assert prog.fourier_steps == 1
+        assert after == pytest.approx(0.5, abs=1e-9)

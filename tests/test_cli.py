@@ -297,6 +297,14 @@ def test_masking_past_int64_exits_two(capsys, argv, bits):
     assert err == f"error: masking range at {bits} bits passes int64\n"
 
 
+@pytest.mark.parametrize("command", ["lcm", "gcd"])
+def test_negative_bits_exits_two_naming_the_bound(capsys, command):
+    code, out, err = run_cli(capsys, command, "--inputs", "3,5", "--bits", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bits must be >= 1, got -1\n"
+
+
 @pytest.mark.parametrize("m", [(1 << 63) + 2, 1 << 64])
 def test_eqpa_past_int64_points_exits_two(capsys, m):
     # an undeclared function is evaluated on int64 points, so m <= 2^63

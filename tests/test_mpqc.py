@@ -84,6 +84,10 @@ class TestLcmProtocol:
             _mask_secret(1, 63, rng)  # q would reach 2^64 - 1
         assert rng.bit_generator.state == state
 
+    def test_negative_bits_refused(self):
+        with pytest.raises(ProtocolError, match="bits must be >= 1, got -1"):
+            lcm_protocol([3, 5], -1)
+
     def test_round_counter_is_parties_times_passes(self):
         for secrets in ([4, 6], [3, 5, 8], [7, 9, 10]):
             res = lcm_protocol(secrets, 5, seed=3)

@@ -19,7 +19,6 @@ from qperiod.periodfind import (
     fourier_sampling_program,
     goodness,
     marked_program,
-    rep,
     standard_qpa,
 )
 from qperiod.amplify import boost_from_half
@@ -67,23 +66,6 @@ class TestFourierSampling:
         np.testing.assert_allclose(marg, np.full(m, 1 / m), atol=1e-9)
 
 
-class TestRep:
-    @pytest.mark.parametrize("d,k,m,expected", [(2, 5, 12, 10), (3, 4, 12, 0), (1, 0, 12, 0)])
-    def test_examples(self, d, k, m, expected):
-        assert rep(d, k, m) == expected
-
-    def test_zero_maps_to_zero_not_m(self):
-        assert rep(6, 2, 12) == 0
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            rep(1, 1, 0)
-
-    @given(d=st.integers(1, 64), k=st.integers(0, 4095), m=st.integers(1, 4096))
-    def test_always_in_range(self, d, k, m):
-        assert 0 <= rep(d, k, m) < m
-
-
 class TestGoodness:
     def test_large_representative_marks_good(self):
         assert goodness(1, 12, -1)(7, 0) == 1  # rep 7 >= 6
@@ -96,6 +78,12 @@ class TestGoodness:
         for j in range(-1, 4):
             for b in (0, 1):
                 assert goodness(3, 12, j)(4, b) == 0  # 3*4 = 0 mod 12
+
+    def test_zero_residue_maps_to_zero_not_m(self):
+        # 6*2 = 12: read as m, it would pass the 2r >= m test for every j and b
+        for j in range(-1, 4):
+            for b in (0, 1):
+                assert goodness(6, 12, j)(2, b) == 0
 
     def test_j_range_checked(self):
         with pytest.raises(ValueError):
