@@ -198,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.seed < 0:  # numpy refuses a negative seed without naming the flag
+            raise ValueError("--seed must be >= 0")
         inputs, output, counters, code = args.run(args)
     except (ValueError, OSError) as exc:  # ProtocolError, PromiseViolation and unwritable paths included
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Simulated n-party protocols: LCM, divisibility voting, PSU, GCD, PSI.
 
 Parties communicate over an authenticated in-process channel; every
-classical message and every register handoff is logged into a transcript
-with live counters.  The LCM protocol is the workhorse: each party masks
-its secret as y_i = x_i * q with a random q chosen so that y_i always lands
-in [2^m, 2^{m+1}), the coordinator broadcasts k = prod(y_i) (a guaranteed
-multiple of the joint period), and the parties realise the joint oracle
+classical message is logged into a transcript with live counters, and each
+LCM run's register handoffs as one record of its ring passes.  The LCM
+protocol is the workhorse: each party masks its secret as y_i = x_i * q
+with a random q chosen so that y_i always lands in [2^m, 2^{m+1}), the
+coordinator broadcasts k = prod(y_i) (a guaranteed multiple of the joint
+period), and the parties realise the joint oracle
 |j>|0...> -> |j>|x mod r_0>...|x mod r_{n-1}> by passing a work register
 around the ring.  Exact period finding on the joint function then returns
 lcm(x_i) in a single invocation, with no repetitions.
@@ -35,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .factorint import encode_set, decode_set, factorize, nth_prime
-from .periodfind import EqpaRecord, PeriodicFunction, eqpa
+from .periodfind import PeriodicFunction, eqpa
 
 KIND_INT = "classical-integer"
 KIND_SHARE = "classical-share"
@@ -75,25 +76,30 @@ class TranscriptMessage:
         }
 
 
-class _Pass(NamedTuple):
-    """One ring pass of the work register, stored in place of its n handoffs."""
+class _Ring(NamedTuple):
+    """The ring passes of one LCM run, stored in place of their n handoffs each.
 
-    pass_no: int
-    direction: str
+    EQPA applies A, A^{-1}, A per iteration, the first A being the prep pass,
+    so pass i of the run is inverse when i % 3 == 1 and forward otherwise,
+    and carries Fourier count ``fourier_calls + 3 * (i // 3)``.
+    """
+
+    pass_no: int  # the number of the run's first pass
+    passes: int
     n: int
-    rounds: int  # the round counter before the pass
-    fourier_calls: int
+    rounds: int  # the round counter before the run
+    fourier_calls: int  # the Fourier counter before the run
 
 
 class Transcript:
     """Ordered message log with live round/pass/Fourier counters.
 
-    A ring pass is one record, expanded into its n handoff messages only
-    when ``messages`` or ``to_jsonl`` is read.
+    An LCM run's ring passes are one record, expanded into n handoff
+    messages per pass only when ``messages`` or ``to_jsonl`` is read.
     """
 
     def __init__(self) -> None:
-        self._log: list[TranscriptMessage | _Pass] = []
+        self._log: list[TranscriptMessage | _Ring] = []
         self.rounds = 0
         self.oracle_passes = 0
         self.fourier_calls = 0
@@ -110,26 +116,29 @@ class Transcript:
     def messages(self) -> tuple[TranscriptMessage, ...]:
         out: list[TranscriptMessage] = []
         for entry in self._log:
-            if not isinstance(entry, _Pass):
+            if not isinstance(entry, _Ring):
                 out.append(entry)
                 continue
-            hops = [(i, (i + 1) % entry.n) for i in range(entry.n)]
-            if entry.direction == "inverse":
-                hops = [(b, a) for a, b in reversed(hops)]
-            for rounds, (a, b) in enumerate(hops, start=entry.rounds + 1):
-                payload = {"registers": ["t"], "pass": entry.pass_no, "direction": entry.direction}
-                counters = {"rounds": rounds, "oracle_passes": entry.pass_no, "fourier_calls": entry.fourier_calls}
-                out.append(TranscriptMessage(rounds, a, b, KIND_HANDOFF, payload, counters))
+            forward = [(i, (i + 1) % entry.n) for i in range(entry.n)]
+            inverse = [(b, a) for a, b in reversed(forward)]
+            for i in range(entry.passes):
+                p, fourier = entry.pass_no + i, entry.fourier_calls + 3 * (i // 3)
+                direction, hops = ("inverse", inverse) if i % 3 == 1 else ("forward", forward)
+                for rounds, (a, b) in enumerate(hops, start=entry.rounds + entry.n * i + 1):
+                    payload = {"registers": ["t"], "pass": p, "direction": direction}
+                    counters = {"rounds": rounds, "oracle_passes": p, "fourier_calls": fourier}
+                    out.append(TranscriptMessage(rounds, a, b, KIND_HANDOFF, payload, counters))
         return tuple(out)
 
     def log(self, kind: str, sender, receiver, payload: dict) -> None:
         self._log.append(TranscriptMessage(self.rounds, sender, receiver, kind, payload, self.counters))
 
-    def log_pass(self, n: int, direction: str) -> None:
-        """One full ring pass of the work register; n handoffs, n rounds."""
-        self.oracle_passes += 1
-        self._log.append(_Pass(self.oracle_passes, direction, n, self.rounds, self.fourier_calls))
-        self.rounds += n
+    def log_ring(self, n: int, passes: int) -> None:
+        """An LCM run's ring passes of the work register, one per Fourier call; n rounds each."""
+        self._log.append(_Ring(self.oracle_passes + 1, passes, n, self.rounds, self.fourier_calls))
+        self.oracle_passes += passes
+        self.fourier_calls += passes
+        self.rounds += n * passes
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
@@ -138,16 +147,16 @@ class Transcript:
         """Each handoff pass must be a connected ring walk."""
         last_by_pass: dict[int, int] = {}
         for entry in self._log:
-            if isinstance(entry, _Pass):
-                # its hops connect by construction, from party 0 back to party 0
-                p, sender, receiver = entry.pass_no, 0, 0
+            if isinstance(entry, _Ring):  # each pass walks from party 0 back to party 0
+                hops = [(p, 0, 0) for p in range(entry.pass_no, entry.pass_no + entry.passes)]
             elif entry.kind == KIND_HANDOFF:
-                p, sender, receiver = entry.payload["pass"], entry.sender, entry.receiver
+                hops = [(entry.payload["pass"], entry.sender, entry.receiver)]
             else:
                 continue
-            if last_by_pass.get(p, sender) != sender:
-                return False
-            last_by_pass[p] = receiver
+            for p, sender, receiver in hops:
+                if last_by_pass.get(p, sender) != sender:
+                    return False
+                last_by_pass[p] = receiver
         return True
 
 
@@ -208,7 +217,7 @@ def _run(n: int, seed: int, body) -> ProtocolResult:
 def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
     # Each ring pass sends and receives one handoff per party.
     passes = ctx.transcript.oracle_passes
-    classical = [m for m in ctx.transcript._log if not isinstance(m, _Pass)]
+    classical = [m for m in ctx.transcript._log if not isinstance(m, _Ring)]
     return tuple(
         {
             "party": p.id,
@@ -278,14 +287,13 @@ def _joint_residue_function(secrets: Sequence[int], k: int) -> PeriodicFunction:
 
 
 def _simulate_prep_pass(ctx: _Context) -> int:
-    """Run the first state-preparation pass as a logged ring walk.
+    """Run the first state-preparation pass; ``_lcm`` logs its ring walk.
 
     P_0 prepares |j>_h|j>_t, each party folds its residue oracle into its
     own e register while t walks the ring, and P_0 uncomputes t and measures
     it.  The outcome is 0 by construction: t holds an exact copy of h, and
     subtracting that copy leaves |0> on every branch.  Returns the t outcome.
     """
-    ctx.transcript.log_pass(len(ctx.parties), "forward")
     return 0
 
 
@@ -301,8 +309,6 @@ def lcm_protocol(secrets: Sequence[int], m_bits: int, seed: int = 0) -> Protocol
 
 def _lcm(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     layer = ctx.push_layer("lcm", secrets)
-    t = ctx.transcript
-    n = len(secrets)
 
     # step 1: every party sends its masked multiple to the coordinator
     ys = [_mask_secret(x, m_bits, party.rng) for party, x in zip(ctx.parties, secrets)]
@@ -317,18 +323,10 @@ def _lcm(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     if _simulate_prep_pass(ctx) != 0:
         raise _Reject  # declared rejection path; unreachable in honest runs
 
-    # step 6: exact period finding on the joint function, every state
-    # (re)preparation and inversion walking the ring as a logged pass
-    f = _joint_residue_function(secrets, k)
-
-    def on_iteration(rec: EqpaRecord) -> None:
-        if (rec.sweep, rec.j) != (1, -1):  # the prep pass above was the first A pass
-            t.log_pass(n, "forward")
-        t.log_pass(n, "inverse")
-        t.log_pass(n, "forward")
-        t.fourier_calls = rec.fourier_calls
-
-    result, _trace = eqpa(f, ctx.parties[0].rng, on_iteration=on_iteration)
+    # step 6: exact period finding on the joint function.  From the prep pass
+    # on, each A, A^{-1} and A walks the ring once: one pass per Fourier call.
+    result, trace = eqpa(_joint_residue_function(secrets, k), ctx.parties[0].rng)
+    ctx.transcript.log_ring(len(secrets), trace.fourier_calls)
     return _publish(ctx, layer, result)
 
 
@@ -497,8 +495,8 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
     checked = 0
     idx = -1  # each message's index in the expanded ``messages``
     for msg in result.transcript._log:
-        if isinstance(msg, _Pass):
-            idx += msg.n
+        if isinstance(msg, _Ring):
+            idx += msg.n * msg.passes
             continue
         idx += 1
         if msg.kind == KIND_HANDOFF:

@@ -305,6 +305,18 @@ def test_negative_bits_exits_two_naming_the_bound(capsys, command):
     assert err == "error: bits must be >= 1, got -1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("lcm", "--inputs", "3,5", "--bits", "4"),
+    ("eqpa", "--r", "3", "--m", "6"),
+    ("factor", "--n", "60"),
+], ids=["lcm", "eqpa", "factor"])
+def test_negative_seed_exits_two_naming_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be >= 0\n"
+
+
 @pytest.mark.parametrize("m", [(1 << 63) + 2, 1 << 64])
 def test_eqpa_past_int64_points_exits_two(capsys, m):
     # an undeclared function is evaluated on int64 points, so m <= 2^63

@@ -442,7 +442,8 @@ class ReferenceTranscript:
 
     ``log_pass`` is the old ``_Context.log_pass``, whose ``pass_no`` always
     equalled ``oracle_passes``; ``counters`` is the old
-    ``ProtocolResult.counters``.
+    ``ProtocolResult.counters``.  ``log_ring`` replays the old per-iteration
+    logging of an LCM run instead of its closed form.
     """
 
     def __init__(self) -> None:
@@ -483,6 +484,16 @@ class ReferenceTranscript:
             hops = [(b, a) for a, b in reversed(hops)]
         for a, b in hops:
             self.log_handoff(a, b, ["t"], self.oracle_passes, direction)
+
+    def log_ring(self, n: int, passes: int) -> None:
+        """The prep pass, then per EQPA iteration A (after the first), A^-1, A and three transforms."""
+        self.log_pass(n, "forward")
+        for iteration in range(passes // 3):
+            if iteration:
+                self.log_pass(n, "forward")
+            self.log_pass(n, "inverse")
+            self.log_pass(n, "forward")
+            self.fourier_calls += 3
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
@@ -588,13 +599,16 @@ def _protocol_case(kind, n_parties, seed):
 
 _PROTOCOLS = {"lcm": lcm_protocol, "gcd": gcd_protocol, "psu": psu_protocol, "psi": psi_protocol}
 
-# Messages appended after a run: a raw secret (its violation names the index
-# after every expanded handoff), a handoff that breaks pass 1's ring, and one
-# that opens a pass of its own.
+# Messages appended after a run of ``passes`` ring passes: a raw secret (its
+# violation names the index after every expanded handoff), a handoff that
+# breaks pass 1's ring, one that opens a pass of its own, one that breaks the
+# last pass's ring (which ends at party 0), and one on the pass after it.
 _INJECTIONS = [
-    lambda secrets: (KIND_INT, 1, 0, {"role": "debug", "value": secrets[0]}),
-    lambda secrets: (KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": 1, "direction": "forward"}),
-    lambda secrets: (KIND_HANDOFF, 0, 1, {"registers": ["t"], "pass": 10**6, "direction": "forward"}),
+    lambda secrets, passes: (KIND_INT, 1, 0, {"role": "debug", "value": secrets[0]}),
+    lambda secrets, passes: (KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": 1, "direction": "forward"}),
+    lambda secrets, passes: (KIND_HANDOFF, 0, 1, {"registers": ["t"], "pass": 10**6, "direction": "forward"}),
+    lambda secrets, passes: (KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": passes, "direction": "forward"}),
+    lambda secrets, passes: (KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": passes + 1, "direction": "forward"}),
 ]
 
 
@@ -622,7 +636,7 @@ def test_pass_records_match_per_hop_reference(monkeypatch, kind, n_parties):
         assert leakage_audit(res, secrets) == reference_leakage_audit(ref, secrets)
         assert leakage_audit(res, secrets).passed
 
-        injected = _INJECTIONS[seed % len(_INJECTIONS)](secrets)
+        injected = _INJECTIONS[seed % len(_INJECTIONS)](secrets, res.counters["oracle_passes"])
         res.transcript.log(*injected)
         ref.transcript.log(*injected)
         assert res.transcript.to_jsonl() == ref.transcript.to_jsonl()
@@ -645,3 +659,21 @@ def test_injected_ring_breaking_handoff_is_caught():
     assert report.violations == ("register handoffs do not form connected ring passes",)
     assert report.messages_checked == honest.messages_checked
     assert res.transcript.messages[-1].kind == KIND_HANDOFF
+
+
+def test_lcm_run_logs_its_ring_passes_as_one_record():
+    primes = [4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161, 4294967143, 4294967111]
+    res = lcm_protocol(primes, 32, seed=1)
+    assert res.output == math.prod(primes)
+    # 7 masked multiples, the modulus, the run's 1590 ring passes, the result
+    assert len(res.transcript._log) == 10
+    assert len(res.transcript.messages) == 9 + 8 * 1590 == 12729
+    assert leakage_audit(res, primes).passed
+
+    # the last pass ends at party 0: a hop on it from party 1 breaks its ring,
+    # while a hop on the pass after it opens a new walk
+    last = res.counters["oracle_passes"]
+    res.transcript.log(KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": last + 1, "direction": "forward"})
+    assert res.transcript.verify_handoff_chain()
+    res.transcript.log(KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": last, "direction": "forward"})
+    assert not res.transcript.verify_handoff_chain()
