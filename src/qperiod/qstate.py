@@ -5,7 +5,8 @@ register) to complex amplitudes.  Register dimensions are arbitrary positive
 integers, so composite moduli are modeled directly instead of being padded
 out to qubit strings.  The joint Hilbert dimension (the product of all
 register dimensions) may be astronomically large; it is never materialised
-densely, only nonzero amplitudes are stored, as parallel numpy arrays.
+densely, only nonzero amplitudes are stored, as parallel numpy arrays.  No
+operation writes into a state's arrays, so results share those left unchanged.
 
 All operations except :func:`measure` are unitary and preserve the squared
 norm to double precision.  :func:`dft` prunes amplitudes below ``PRUNE_EPS``
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -57,19 +59,24 @@ class RegisterLayout:
     def of(cls, *registers: tuple[str, int]) -> "RegisterLayout":
         return cls(tuple((str(n), int(d)) for n, d in registers))
 
-    @property
+    # cached once per layout, outside the fields that equality and hashing read
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.registers)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.registers):
-            if n == name:
-                return i
-        raise QStateError(f"no register named {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise QStateError(f"no register named {name!r}") from None
 
 
 class SparseState:
@@ -164,7 +171,10 @@ class GoodPredicate:
 
     def mask(self, state: SparseState) -> np.ndarray:
         cols = [state._vals[:, state._col(r)] for r in self.registers]
-        return np.asarray(self.fn(*cols), dtype=bool).reshape(state.num_entries)
+        out = np.asarray(self.fn(*cols), dtype=bool)
+        if out.shape != (state.num_entries,):
+            out = np.broadcast_to(out, (state.num_entries,))
+        return out
 
     def __call__(self, *values):
         return self.fn(*values)
@@ -206,7 +216,7 @@ def uniform_prep(state: SparseState, reg: str) -> SparseState:
     if np.any(state._vals[:, col] != 0):
         raise QStateError(f"uniform_prep requires register {reg!r} to be 0 everywhere")
     if d == 1:
-        return state._replace(state._vals.copy(), state._amps.copy())
+        return state
     n = state.num_entries
     if n * d > _MAX_DFT_OUTPUT:
         raise QStateError("uniform preparation exceeds sparse capacity")
@@ -228,7 +238,7 @@ def apply_oracle(state: SparseState, oracle: ClassicalOracle, inverse: bool = Fa
         vals[:, out_col] = (vals[:, out_col] - fvals) % d
     else:
         vals[:, out_col] = (vals[:, out_col] + fvals) % d
-    return state._replace(vals, state._amps.copy())
+    return state._replace(vals, state._amps)
 
 
 def controlled_subtract(state: SparseState, src: str, dst: str, inverse: bool = False) -> SparseState:
@@ -246,7 +256,7 @@ def controlled_subtract(state: SparseState, src: str, dst: str, inverse: bool = 
         vals[:, t] = (vals[:, t] + vals[:, s]) % d
     else:
         vals[:, t] = (vals[:, t] - vals[:, s]) % d
-    return state._replace(vals, state._amps.copy())
+    return state._replace(vals, state._amps)
 
 
 def phase_flip(state: SparseState, predicate: GoodPredicate, phase: complex) -> SparseState:
@@ -257,7 +267,7 @@ def phase_flip(state: SparseState, predicate: GoodPredicate, phase: complex) -> 
     mask = predicate.mask(state)
     amps = state._amps.copy()
     amps[mask] *= phase
-    return state._replace(state._vals.copy(), amps)
+    return state._replace(state._vals, amps)
 
 
 def zero_predicate(layout: RegisterLayout) -> GoodPredicate:
@@ -272,19 +282,19 @@ def zero_predicate(layout: RegisterLayout) -> GoodPredicate:
     return GoodPredicate(layout.names, all_zero, name="zero")
 
 
-def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the equal rows of a non-empty 2-D array with one stable sort.
 
-    Returns ``(order, starts)``: group g holds the row indices
-    ``order[starts[g]:starts[g + 1]]`` (the last group runs to the end) in
-    ascending order, and the groups follow the lexicographic order of their
-    rows, the order ``np.unique(keys, axis=0)`` gives.
+    Returns ``(order, starts, sizes)``: group g holds the row indices
+    ``order[starts[g]:starts[g] + sizes[g]]`` in ascending order, and the
+    groups follow the lexicographic order of their rows, the order
+    ``np.unique(keys, axis=0)`` gives.
     """
-    n = keys.shape[0]
-    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n)
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(keys.shape[0])
     srt = keys[order]
-    new = np.any(srt[1:] != srt[:-1], axis=1)
-    return order, np.flatnonzero(np.concatenate(([True], new)))
+    new = (srt[1:] != srt[:-1]).any(axis=1)
+    bounds = np.concatenate(([True], new, [True])).nonzero()[0]
+    return order, bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
@@ -296,78 +306,68 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     arithmetic progression ``a + p*s`` with ``p | d`` (p is the gcd of the
     offsets and d), so the transform reduces to a length-(d/p) FFT plus an
     exact twiddle whose angle is reduced modulo d before any trigonometry.
-    Groups of equal length are transformed together, one 2-D FFT per chunk
-    of at most ``_DFT_CHUNK_CELLS`` cells.  Outputs below ``PRUNE_EPS`` are
-    dropped; the output lists the groups in lexicographic order of the other
-    registers, each group's outputs by spectrum bin, then by copy.
+    Groups of equal length L are transformed together, one 2-D FFT per
+    chunk of at most ``_DFT_CHUNK_CELLS`` cells, and bins below
+    ``PRUNE_EPS`` are dropped.  Once the outputs are counted, each kept bin
+    b expands into its d/L outputs c = b + L*t, in the order the bins were
+    kept.  That is the documented order for one length: groups in
+    lexicographic order of the other registers, each group's outputs by
+    spectrum bin, then by copy.  For several lengths, one stable sort on
+    the group restores it.
     """
     col = state._col(reg)
     d = state.layout.dims[col]
-    n = state.num_entries
     if d > _MAX_DFT_DIM:
         raise QStateError(f"register dimension {d} too large for exact DFT")
-    if d == 1 or n == 0:
-        return state._replace(state._vals.copy(), state._amps.copy())
+    if d == 1 or state.num_entries == 0:
+        return state
 
-    order, starts = _group_rows(np.delete(state._vals, col, axis=1))
-    sizes = np.diff(starts, append=n)
+    others = [i for i in range(state._vals.shape[1]) if i != col]
+    order, starts, sizes = _group_rows(state._vals[:, others])
+    gid = np.arange(len(starts)).repeat(sizes)  # group of each sorted entry
     j = state._vals[order, col]
     amp = state._amps[order]
     a0 = np.minimum.reduceat(j, starts)
-    diffs = j - np.repeat(a0, sizes)
+    diffs = j - a0[gid]
     p = np.gcd(np.gcd.reduceat(diffs, starts), d)  # gcd(0, d) == d for single entries
     length = d // p
-    pos = diffs // np.repeat(p, sizes)
-
-    # Pass 1: transform the groups bucket by bucket of equal length and keep
-    # each group's bins above the cut, with their rank inside the group.
-    by_len = np.argsort(length, kind="stable")
-    run_end = np.cumsum(sizes[by_len])  # the groups' entries laid out in by_len order
-    run_start = run_end - sizes[by_len]
-    entry = np.repeat(starts[by_len] - run_start, sizes[by_len]) + np.arange(n)
-    cut = PRUNE_EPS * math.sqrt(d)
-    counts = np.zeros(len(starts), dtype=np.int64)
-    kept = []
-    lens, firsts = np.unique(length[by_len], return_index=True)
+    pos = diffs // p[gid]
+    lens = sorted(set(length.tolist()))
     # a chunk buffer holds max(_DFT_CHUNK_CELLS, L) cells at most: check L first
     if lens[-1] > _MAX_DFT_OUTPUT:
         raise QStateError("DFT buffer exceeds sparse capacity")
-    for L, lo, hi in zip(lens.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(starts)]):
-        per = max(1, _DFT_CHUNK_CELLS // L)
-        for q in range(lo, hi, per):
-            q_end = min(q + per, hi)
-            groups = by_len[q:q_end]
-            rows = entry[run_start[q] : run_end[q_end - 1]]
-            mat = np.zeros((len(groups), L), dtype=np.complex128)
-            mat[np.repeat(np.arange(len(groups)), sizes[groups]), pos[rows]] = amp[rows]
-            spectrum = np.fft.fft(mat, axis=1) if inverse else L * np.fft.ifft(mat, axis=1)
-            mask = np.abs(spectrum) > cut
-            per_row = np.count_nonzero(mask, axis=1)
-            counts[groups] = per_row
-            r_idx, bins = np.nonzero(mask)
-            rank = np.arange(len(r_idx)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-            kept.append((L, groups[r_idx], rank, bins, spectrum[r_idx, bins]))
-
-    # Pass 2: each kept bin b of a group yields the d/L outputs c = b + L*t,
-    # written straight to the group's block of the preallocated output.
-    out_sizes = counts * p
-    total = int(out_sizes.sum())
-    if total > _MAX_DFT_OUTPUT:
-        raise QStateError("DFT output exceeds sparse capacity")
-    offset = np.cumsum(out_sizes) - out_sizes
-    vals = np.repeat(state._vals[order[starts]], out_sizes, axis=0)
-    amps = np.empty(total, dtype=np.complex128)
+    cut = PRUNE_EPS * math.sqrt(d)
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    for L, g, rank, bins, spec in kept:
-        t = np.arange(d // L)
-        cs = bins[:, None] + L * t
-        expo = (cs * a0[g][:, None]) % d
-        if inverse:
-            expo = (d - expo) % d
-        twiddle = np.exp((_TWO_PI / d) * 1j * expo)
-        dest = (offset[g] + rank * (d // L))[:, None] + t
-        amps[dest] = spec[:, None] * twiddle * inv_sqrt_d
-        vals[dest, col] = cs
+    a0 = -a0 if inverse else a0  # the inverse twiddle conjugates: exponent -c*a mod d
+    total, kept = 0, []
+    for L in lens:
+        of_len = length == L
+        groups = of_len.nonzero()[0]
+        rows = of_len[gid].nonzero()[0]  # their entries, in group order
+        slot = (of_len.cumsum() - 1)[gid[rows]]  # matrix row of each entry
+        per = max(1, _DFT_CHUNK_CELLS // L)
+        for q in range(0, len(groups), per):
+            lo, hi = slot.searchsorted((q, q + per)).tolist()
+            mat = np.zeros((min(per, len(groups) - q), L), dtype=np.complex128)
+            mat[slot[lo:hi] - q, pos[rows[lo:hi]]] = amp[rows[lo:hi]]
+            spectrum = np.fft.fft(mat) if inverse else L * np.fft.ifft(mat)
+            r_idx, bins = (np.abs(spectrum) > cut).nonzero()
+            total += len(bins) * (d // L)
+            if total > _MAX_DFT_OUTPUT:
+                raise QStateError("DFT output exceeds sparse capacity")
+            kept.append((L, groups[q + r_idx], bins, spectrum[r_idx, bins]))
+    vals, amps = np.empty((total, len(others) + 1), np.int64), np.empty(total, np.complex128)
+    first, end = state._vals[order[starts]], 0
+    for L, g, bins, spec in kept:
+        cs = bins[:, None] + np.arange(0, d, L)
+        twiddle = np.exp((_TWO_PI / d) * 1j * ((cs * a0[g][:, None]) % d))
+        at, end = end, end + cs.size
+        amps[at:end] = (spec[:, None] * twiddle * inv_sqrt_d).ravel()
+        vals[at:end] = first[g].repeat(d // L, axis=0)
+        vals[at:end, col] = cs.ravel()
+    if len(lens) > 1:
+        back = np.concatenate([g.repeat(d // L) for L, g, _, _ in kept]).argsort(kind="stable")
+        vals, amps = vals[back], amps[back]
     return state._replace(vals, amps)
 
 
@@ -406,9 +406,9 @@ def joint_marginal(
     if state.num_entries == 0:
         raise QStateError("cannot measure a state with no entries")
     sub = state._vals[:, cols]
-    order, starts = _group_rows(sub)
+    order, starts, sizes = _group_rows(sub)
     group = np.empty(state.num_entries, dtype=np.int64)
-    group[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    group[order] = np.repeat(np.arange(len(starts)), sizes)
     mass = np.bincount(group, weights=state.probabilities(), minlength=len(starts))
     return sub[order[starts]], group, mass
 

@@ -1,6 +1,8 @@
 """Tests for Fourier sampling, the probabilistic baseline, and the exact finder."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -609,6 +611,21 @@ def test_program_engine_refuses_past_capacity_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_program_engine_leaves_numpy_ma_unimported():
+    # a plain np.unique on an integer array imports numpy.ma (numpy 2.4),
+    # about 1 MiB of resident objects that nothing here needs
+    code = (
+        "import sys, numpy as np\n"
+        "from qperiod.periodfind import PeriodicFunction, eqpa\n"
+        "f = PeriodicFunction.from_table([3, 0, 4, 1, 5, 2] * 4)\n"
+        "assert eqpa(f, np.random.default_rng(1), engine='program')[0] == 6\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qperiod import qstate
 from qperiod.qstate import (
     ClassicalOracle,
     GoodPredicate,
@@ -71,6 +72,34 @@ class TestLayoutAndBasis:
     def test_duplicate_register_names_rejected(self):
         with pytest.raises(QStateError):
             RegisterLayout.of(("h", 2), ("h", 3))
+
+    def test_names_and_dims_follow_registers(self):
+        lay = RegisterLayout.of(("h", 4), ("e", 2), ("b", 1))
+        assert lay.names == tuple(name for name, _ in lay.registers) == ("h", "e", "b")
+        assert lay.dims == tuple(dim for _, dim in lay.registers) == (4, 2, 1)
+        assert [lay.index(name) for name in lay.names] == [0, 1, 2]
+
+    def test_unknown_register_raises_once_lookups_are_cached(self):
+        lay = RegisterLayout.of(("h", 4), ("e", 2))
+        s = basis_state(lay, (1, 0))
+        assert lay.index("e") == 1
+        calls = [
+            lambda: lay.index("x"),
+            lambda: s._col("x"),
+            lambda: dft(s, "x"),
+            lambda: apply_oracle(s, ClassicalOracle(("h",), "x", lambda h: h)),
+            lambda: apply_oracle(s, ClassicalOracle(("x",), "e", lambda x: x)),
+        ]
+        for call in calls:
+            with pytest.raises(QStateError, match="no register named 'x'"):
+                call()
+
+    def test_equal_layouts_stay_equal_once_one_has_cached(self):
+        a, b = RegisterLayout.of(("h", 4), ("e", 2)), RegisterLayout.of(("h", 4), ("e", 2))
+        assert (a.names, a.dims, a.index("e")) == (("h", "e"), (4, 2), 1)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert a != RegisterLayout.of(("h", 4), ("e", 3))
 
 
 class TestUniformPrep:
@@ -287,6 +316,12 @@ class TestGoodMass:
         s = uniform_prep(zero_state(lay), "h")
         assert good_mass(s, GoodPredicate(("h",), lambda h: h <= 1)) == pytest.approx(0.5)
 
+    def test_constant_predicate_broadcasts(self):
+        s = uniform_prep(zero_state(RegisterLayout.of(("h", 4))), "h")
+        always = GoodPredicate(("h",), lambda h: True)
+        assert good_mass(s, always) == 1.0
+        np.testing.assert_array_equal(phase_flip(s, always, 1j)._amps, s._amps * 1j)
+
 
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 48), seed=st.integers(0, 10_000))
@@ -477,6 +512,54 @@ def test_dft_matches_per_group_loop():
     assert any(len({L for _, L in groups}) >= 3 for groups in seen)
     bucket_cells = [L * k for groups in seen for L, k in Counter(L for _, L in groups).items()]
     assert max(bucket_cells) > _DFT_CHUNK_CELLS  # some bucket spans two chunks
+
+
+def staggered_state(d, lengths, seed):
+    """A state on (e, h, f) whose g-th group, (e, f) = divmod(g, 3), has
+    transform length ``lengths[g]`` on h: offsets 0, 1 and a random subset
+    of 2..L-1 of a progression with step d/L."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for g, L in enumerate(lengths):
+        p = d // L
+        steps = [0] if L == 1 else [0, 1, *rng.choice(np.arange(2, L), rng.integers(0, L - 1), replace=False)]
+        a = int(rng.integers(p))
+        rows += [(g // 3, a + p * int(s), g % 3) for s in steps]
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    lay = RegisterLayout.of(("e", len(lengths) // 3 + 1), ("h", d), ("f", 3))
+    return SparseState(lay, rows, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dft_chunk_seams_at_a_small_chunk(monkeypatch, seed):
+    monkeypatch.setattr(qstate, "_DFT_CHUNK_CELLS", 8)
+    lengths = np.random.default_rng(seed).permutation([1, 2, 3, 4, 8, 24] * 10)
+    state = staggered_state(24, lengths, seed)
+    counts = Counter(L for _, L in group_lengths(state, 1))
+    assert counts == Counter(lengths.tolist())
+    # every length spreads over more than one chunk of 8 cells
+    assert all(k > max(1, 8 // L) for L, k in counts.items())
+    for inverse in (False, True):
+        assert_same_state(dft(state, "h", inverse), reference_dft(state, "h", inverse))
+
+
+def test_dft_peak_memory_is_about_its_output():
+    # 48 groups of 1024 entries with step 16 in a 2^14 register: every group
+    # keeps its 1024 bins and each bin spreads over 16 outputs
+    d, groups, L = 1 << 14, 48, 1024
+    e, s = np.divmod(np.arange(groups * L), L)
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=len(e)) + 1j * rng.normal(size=len(e))
+    state = SparseState(RegisterLayout.of(("h", d), ("e", groups)), np.column_stack([e % 16 + 16 * s, e]), amps)
+    tracemalloc.start()
+    try:
+        out = dft(state, "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_entries == groups * d
+    assert peak < 1.5 * (out._vals.nbytes + out._amps.nbytes)
 
 
 def test_dft_of_empty_state_is_empty():
