@@ -4,10 +4,10 @@ Factoring reduces to order finding: for random a coprime to N, the order r
 of a mod N is even with good probability, and gcd(a^{r/2} - 1, N) then
 splits N.  Order finding itself is simulated two ways:
 
-* :func:`order_find` runs the standard probabilistic pipeline, sampling
-  from the exact simulated index marginal: Fourier sampling over Z_{2^t}
-  with 2^t >= N^2, continued-fraction recovery of the denominator,
-  candidate repair, and classical verification.
+* :func:`order_find` runs the standard probabilistic pipeline: the exact
+  closed-form index marginal of Fourier sampling over Z_{2^t}, 2^t >= N^2
+  (the literal program is the tests' reference), continued-fraction
+  recovery of the denominator, candidate repair, classical verification.
 * :func:`order_find_exact` runs the exact period finder, which needs a known
   multiple of the order and then returns it deterministically.
 
@@ -27,13 +27,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .periodfind import _MAX_PERIOD, PeriodicFunction, eqpa, fourier_sampling_program
+from .periodfind import _MAX_PERIOD, PeriodicFunction, eqpa
 
 # Deterministic Miller-Rabin witnesses, valid far beyond desk scale.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Quantum order finding is simulated only up to this modulus; the Fourier
-# register has dimension 2^t >= N^2.
+# Quantum order finding is simulated only up to this modulus; its index
+# marginal costs two FFTs of 2^t >= N^2 points.
 QUANTUM_SIM_LIMIT = 128
 QUANTUM_BOUND = 64
 
@@ -188,34 +188,33 @@ def _split(n: int) -> int:
 # order finding
 
 
-def _power_table(a: int, N: int, length: int) -> np.ndarray:
-    table = np.empty(length, dtype=np.int64)
-    v = 1
-    for x in range(length):
-        table[x] = v
-        v = v * a % N
-    return table
-
-
 _MARGINAL_CACHE: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
 
 def _fourier_index_cdf(a: int, N: int) -> tuple[int, np.ndarray]:
     """Exact index-register measurement cdf for f(x) = a^x mod N over Z_{2^t}.
 
-    Runs the actual Fourier-sampling program on the sparse simulator once
-    per (a, N) and caches the cumulative distribution.
+    With r the order of a and q, rem = divmod(m, r), the index register
+    beside a^s holds the comb s, s + r, ... of q + 1 points for s < rem and
+    of q points otherwise.  A shift changes a comb's transform only by a
+    phase, so the marginal is (rem |FFT(comb_{q+1})|^2 + (r - rem)
+    |FFT(comb_q)|^2) / m^2 with combs from 0.  Cached per (a, N).
     """
     key = (a, N)
     if key in _MARGINAL_CACHE:
         return _MARGINAL_CACHE[key]
     t = max(N * N - 1, 2).bit_length()  # smallest t with 2^t >= N^2
     m = 1 << t
-    f = PeriodicFunction.from_table(_power_table(a, N, m))
-    state = fourier_sampling_program(f).run()
+    r, v = 1, a % N
+    while v != 1:
+        r, v = r + 1, v * a % N
+    q, rem = divmod(m, r)
     dense = np.zeros(m)
-    np.add.at(dense, state.values_column("index"), state.probabilities())
-    cdf = np.cumsum(dense)
+    for points, weight in ((q, r - rem), (q + 1, rem)):
+        comb = np.zeros(m)
+        comb[: points * r : r] = 1.0
+        dense += weight * np.abs(np.fft.fft(comb)) ** 2
+    cdf = np.cumsum(dense / (m * m))
     _MARGINAL_CACHE[key] = (m, cdf)
     return m, cdf
 

@@ -391,10 +391,11 @@ def _vote(ctx: _Context, secrets: Sequence[int], candidate: int, layer: int) -> 
 
 
 def _validate_sets(secret_sets: Sequence[Iterable[int]], universe_size: int) -> list[frozenset[int]]:
+    if universe_size < 0:
+        raise ProtocolError(f"universe size must be >= 0, got {universe_size}")
     sets = [frozenset(int(u) for u in s) for s in secret_sets]
-    for s in sets:
-        if any(u < 0 or u >= universe_size for u in s):
-            raise ProtocolError(f"set element outside universe of size {universe_size}")
+    if any(u < 0 or u >= universe_size for s in sets for u in s):
+        raise ProtocolError(f"set element outside universe of size {universe_size}")
     if len(sets) < 2:
         raise ProtocolError("need at least two parties")
     return sets

@@ -305,6 +305,14 @@ def test_negative_bits_exits_two_naming_the_bound(capsys, command):
     assert err == "error: bits must be >= 1, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["psu", "psi"])
+def test_negative_universe_exits_two_naming_the_bound(capsys, command):
+    code, out, err = run_cli(capsys, command, "--sets", ";", "--universe", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: universe size must be >= 0, got -3\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("lcm", "--inputs", "3,5", "--bits", "4"),
     ("eqpa", "--r", "3", "--m", "6"),

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import count
 
@@ -35,7 +36,7 @@ from qperiod.factorint import (
     primes_below,
 )
 from qperiod import factorint
-from qperiod.periodfind import PromiseViolation
+from qperiod.periodfind import PeriodicFunction, PromiseViolation, fourier_sampling_program
 
 
 def brute_force_order(a, N):
@@ -172,6 +173,32 @@ class TestOrderFind:
             assert pow(a, r, N) == 1
             for p in {p for p in range(2, r + 1) if r % p == 0 and is_prime(p)}:
                 assert pow(a, r // p, N) != 1
+
+    @pytest.mark.parametrize("a,N", [(1, 15), (2, 15), (7, 15), (2, 21), (10, 33), (5, 119)])
+    def test_index_cdf_matches_the_literal_program(self, monkeypatch, a, N):
+        # (2, 15) has r | m, so most of its bins are exactly zero in the program's marginal
+        monkeypatch.setattr(factorint, "_MARGINAL_CACHE", {})
+        m, cdf = factorint._fourier_index_cdf(a, N)
+        assert m >= N * N > m // 2
+        state = fourier_sampling_program(PeriodicFunction.from_table([pow(a, x, N) for x in range(m)])).run()
+        dense = np.zeros(m)
+        np.add.at(dense, state.values_column("index"), state.probabilities())
+        reference = np.cumsum(dense)
+        np.testing.assert_allclose(cdf, reference, rtol=0, atol=1e-12)
+        draws = np.random.default_rng(N).random(10_000)
+        # order_find's draw: searchsorted against each cdf's own total
+        picks = [np.minimum(np.searchsorted(c, draws * c[-1], side="right"), m - 1) for c in (cdf, reference)]
+        np.testing.assert_array_equal(picks[0], picks[1])
+
+    def test_index_cdf_peak_memory_is_a_few_arrays(self, monkeypatch):
+        monkeypatch.setattr(factorint, "_MARGINAL_CACHE", {})
+        tracemalloc.start()
+        try:
+            factorint._fourier_index_cdf(5, 119)  # m = 2^14
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestOrderFindExact:

@@ -278,6 +278,17 @@ class TestPsiProtocol:
             assert res.output == frozenset(sets[0] & sets[1] & sets[2])
 
 
+@pytest.mark.parametrize("protocol", [psu_protocol, psi_protocol], ids=["psu", "psi"])
+def test_negative_universe_rejected(protocol):
+    with pytest.raises(ProtocolError, match=r"^universe size must be >= 0, got -3$"):
+        protocol([set(), set()], -3, seed=0)
+
+
+@pytest.mark.parametrize("protocol", [psu_protocol, psi_protocol], ids=["psu", "psi"])
+def test_empty_universe_with_empty_sets_stays_valid(protocol):
+    assert protocol([set(), set()], 0, seed=0).output == frozenset()
+
+
 class TestTranscriptSerialization:
     def test_jsonl_shape_and_key_order(self):
         res = lcm_protocol([4, 6], 5, seed=0)
