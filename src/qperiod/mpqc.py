@@ -438,14 +438,13 @@ def _gcd(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     # each index is below 2^m_bits and the universe size is never logged, so
     # 2^m_bits serves as the index bound without listing the primes.
     union = _set_layer(ctx, "psu", radicals, 1 << m_bits, _lcm)
-    vote_layer = len(ctx.layers) - 1  # the votes carry the last layer pushed
 
     # step 3: ascending power votes fix each prime's common exponent
     result = 1
     for p in sorted(nth_prime(u + 1) for u in union):
         exponent = 0
         while p ** (exponent + 1) < (1 << m_bits):
-            if not _vote(ctx, secrets, p ** (exponent + 1), vote_layer):
+            if not _vote(ctx, secrets, p ** (exponent + 1), layer):
                 break
             exponent += 1
         result *= p**exponent

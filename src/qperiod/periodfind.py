@@ -22,8 +22,9 @@ measurement distribution in the invariant 2r-dimensional block basis
 G_k are orthonormal, so they never affect the index marginal), while
 ``engine="program"`` runs the literal program composition step by step:
 its (d, j)-free prefix (index, f, Fourier transform, coin) once per run,
-then one literal boost per distinct (d, j), whose (index, b, good)
-marginal it keeps, so repeated iterations draw from the cached marginal.
+then one literal boost per distinct good set on the support (d and the
+clipped window of 2^j), whose (index, b, good) marginal it keeps, so
+repeated iterations draw from the cached marginal.
 Both consume one rng draw per iteration and produce identical traces.
 Once d = r no outcome can update d, so the rest of the run is known in
 advance; the block engine then takes all of its draws in one
@@ -305,24 +306,36 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
+def _mark_run(r: int, step: int, d: int, j: int) -> tuple[int, int, int]:
+    """(r', a, window) of the mark of (d, j) on the support k = step*t, t < r.
+
+    With g = gcd(d, r), r' = r/g and a = (d/g) mod r', the rep of d*k is
+    step*g*v_t with v_t = (a*t) mod r', so (k, b) is good for both coins
+    when v_t >= ceil(r'/2) and for b = 1 alone when 1 <= v_t <= window =
+    min(floor(2^j / (step*g)), ceil(r'/2) - 1).  On the support, then, the
+    mark of (d, j) depends on j only through the window, which is 0 for
+    every j at d = r.
+    """
+    g = math.gcd(d, r)
+    rb = r // g
+    return rb, d // g % rb, min(((1 << j) if j >= 0 else 0) // (step * g), (rb + 1) // 2 - 1)
+
+
 class _Run:
     """The 2r' outcomes (t, b), t < r', of one copy in the block basis.
 
-    The rep of support index t is step*g*v_t with v_t = (a*t) mod r', so
-    (t, b) is good for both coins when v_t >= half = ceil(r'/2) and for
-    b = 1 alone when 1 <= v_t <= window.  With N = 2r' outcomes of which
-    G are good, a = G/N, the boost with both phases i scales good
-    amplitudes by 1 - 2i(1-a) and bad ones by -i(1-2a), so a good outcome
-    has weight N^2 + 4(N-G)^2 and a bad one (N-2G)^2, in units of
-    1/(g N^3): a run sums to N^3.
+    The outcomes are marked as :func:`_mark_run` describes.  With N = 2r'
+    outcomes of which G are good, a = G/N, the boost with both phases i
+    scales good amplitudes by 1 - 2i(1-a) and bad ones by -i(1-2a), so a
+    good outcome has weight N^2 + 4(N-G)^2 and a bad one (N-2G)^2, in
+    units of 1/(g N^3): a run sums to N^3.
     """
 
     __slots__ = ("rb", "a", "half", "window", "n_good", "w_good", "w_bad")
 
     def __init__(self, rb: int, a: int, window: int):
-        self.rb, self.a = rb, a
+        self.rb, self.a, self.window = rb, a, window
         self.half = (rb + 1) // 2
-        self.window = min(window, self.half - 1)
         self.n_good = count = self.good_before(rb)
         n = 2 * rb
         self.w_good = n * n + 4 * (n - count) ** 2
@@ -388,9 +401,7 @@ class _BlockSampler(_Sampler):
         self.step = self.m // self.r
 
     def run(self, d: int, j: int) -> _Run:
-        g = math.gcd(d, self.r)
-        rb = self.r // g
-        return _Run(rb, d // g % rb, ((1 << j) if j >= 0 else 0) // (self.step * g))
+        return _Run(*_mark_run(self.r, self.step, d, j))
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
         run = self.run(d, j)
@@ -429,8 +440,10 @@ class _ProgramSampler(_Sampler):
     with values in [0, r) that cannot collide mod m whatever f's range.
 
     Only the mark oracle, the last step of :func:`marked_program`, depends
-    on (d, j), so the state before it is prepared once per run.  Each
-    distinct (d, j) is boosted once, literally, and only the boosted
+    on (d, j), so the state before it is prepared once per run.  The
+    oracle meets only indices on the support k = (m/r)*t, inside the boost
+    too, where the key (d, window) of :func:`_mark_run` fixes the mark.
+    Each distinct key is boosted once, literally, and only the boosted
     state's (index, b, good) marginal (at most 2r rows, where the state
     holds up to 2r^2 entries) and the good mass before the boost are kept.
     Every iteration, repeats included, draws from that marginal with the
@@ -440,19 +453,21 @@ class _ProgramSampler(_Sampler):
     def __init__(self, f: PeriodicFunction, structure: _Structure):
         values = structure.values
         self.f = PeriodicFunction(modulus=f.modulus, evaluator=lambda x: np.searchsorted(values, f(x)))
+        self.r, self.step = structure.period, f.modulus // structure.period
         program = marked_program(self.f, 1, -1)
         self.unmarked = ReversibleProgram(program.layout, program.steps[:-1]).run()
         self.marginals: dict[tuple[int, int], tuple[list, np.ndarray, float]] = {}
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-        cached = self.marginals.get((d, j))
+        key = d, _mark_run(self.r, self.step, d, j)[2]
+        cached = self.marginals.get(key)
         if cached is None:
             program = marked_program(self.f, d, j)
             good = goodness(d, self.f.modulus, j)
             prepared = program.steps[-1].apply(self.unmarked)
             boosted = amplification_operator(program, good, 1j, 1j, prepared)
             outcomes, _, mass = joint_marginal(boosted, ("index", "b", "good"))
-            cached = self.marginals[d, j] = (outcomes.tolist(), np.cumsum(mass), good_mass(prepared, good))
+            cached = self.marginals[key] = (outcomes.tolist(), np.cumsum(mass), good_mass(prepared, good))
         outcomes, cumulative, mass_before = cached
         k, b, chi = outcomes[_walk(cumulative, rng)]
         return k, b, chi, mass_before

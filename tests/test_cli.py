@@ -351,16 +351,16 @@ _GOLDEN = [
      "3cab103df1182add666930747b397f052f4e200441d9ea9785b7f1e0181a63ca"),
     (("gcd", "--inputs", "12,18", "--bits", "5"),
      "cc0e11e5c50b2beda8228730f2d043e2dd9e55eb750617169abd4b8fc56e1684",
-     "c8ce2e7d519961c9bcc9634e7157d944f906326e20dc3367d360d3a0de520818"),
+     "05075d2680735105f1c884197c3e850b2129076c6b940fbc9a02a8d006543883"),
     (("gcd", "--inputs", "245,175,35", "--bits", "8", "--seed", "4"),
      "8c6832448c3253cebf157d9104629b0eab8c25268e2be2310e4cd3fc80d26249",
-     "79baefaaee03b65561107d0c299e19ed8061b2c657aefe3f7f9990bfb9e7369f"),
+     "9825db5b021db52fd8c81ce679f886e30d7b9403483484f07effffe06171e666"),
     (("psu", "--sets", "1,2;2,3", "--universe", "4"),
      "53ea65592c4af9ecf7d860a4c5cbbb565a48ff6bbc6c705639e36ec2aea5b980",
      "9d6cb562d999102527b843e600a24674e6155075c9a58762e259de5f908ffdd3"),
     (("psi", "--sets", "1,2;2,3", "--universe", "4"),
      "c1c31e57e5cd4cef0112fcd216639c76b32460e03c0b1238ec9cda580080d4dd",
-     "c8b26ba5f92a241a9a6f353e81f584d122843128147cdf506dd4a6dc366a85bb"),
+     "c51a6532f976bf529c7d104379e31185b38de7202c03af556ada771c6f51b658"),
 ]
 
 

@@ -289,6 +289,20 @@ def test_empty_universe_with_empty_sets_stays_valid(protocol):
     assert protocol([set(), set()], 0, seed=0).output == frozenset()
 
 
+@pytest.mark.parametrize("run", [
+    lambda: gcd_protocol([12, 18], 5, seed=0),
+    lambda: gcd_protocol([245, 175, 35], 8, seed=4),
+    lambda: psi_protocol([{1, 2}, {2, 3}], 4, seed=0),
+    lambda: psi_protocol([{0, 1, 2}, {1, 2, 3}, {2, 1, 5}], 6, seed=7),
+], ids=["gcd-12-18", "gcd-245-175-35", "psi-pair", "psi-triple"])
+def test_votes_are_logged_under_the_gcd_layer(run):
+    res = run()
+    gcd_layers = {i for i, (name, _) in enumerate(res.layer_inputs) if name == "gcd"}
+    votes = [m for m in res.transcript.messages if str(m.payload.get("role", "")).startswith("vote-")]
+    assert votes and gcd_layers
+    assert {m.payload["layer"] for m in votes} <= gcd_layers
+
+
 class TestTranscriptSerialization:
     def test_jsonl_shape_and_key_order(self):
         res = lcm_protocol([4, 6], 5, seed=0)

@@ -672,7 +672,13 @@ def test_program_engine_matches_a_fresh_boost_per_iteration(monkeypatch):
     assert repeats > 0
 
 
-def test_program_engine_boosts_each_distinct_iteration_once(monkeypatch):
+def _support_window(r, m, d, j):
+    """The clipped window of the mark of (d, j) on the support, written out."""
+    g = math.gcd(d, r)
+    return min((2**j if j >= 0 else 0) // (m // r * g), (r // g + 1) // 2 - 1)
+
+
+def test_program_engine_boosts_each_distinct_good_set_once(monkeypatch):
     boosted = []
     operator = periodfind.amplification_operator
 
@@ -681,14 +687,51 @@ def test_program_engine_boosts_each_distinct_iteration_once(monkeypatch):
         return operator(program, good, *args)
 
     monkeypatch.setattr(periodfind, "amplification_operator", counting)
-    perm = np.random.default_rng(24).permutation(24)
+    r, m = 24, 96
+    perm = np.random.default_rng(24).permutation(r)
     for seed in range(3):
         boosted.clear()
-        _, trace = eqpa(PeriodicFunction.from_table(perm[np.arange(96) % 24]), np.random.default_rng(seed),
+        _, trace = eqpa(PeriodicFunction.from_table(perm[np.arange(m) % r]), np.random.default_rng(seed),
                         engine="program")
-        distinct = {f"mark(d={rec.d_before},j={rec.j})" for rec in trace.records}
-        assert sorted(boosted) == sorted(distinct)
-        assert len(trace.records) > len(distinct)
+        marks = [tuple(map(int, name[len("mark(d="):-1].split(",j="))) for name in boosted]
+        keys = {(rec.d_before, _support_window(r, m, rec.d_before, rec.j)) for rec in trace.records}
+        assert sorted((d, _support_window(r, m, d, j)) for d, j in marks) == sorted(keys)
+        assert len(keys) < len({(rec.d_before, rec.j) for rec in trace.records})
+
+
+@pytest.mark.parametrize("r, m", [(15, 60), (12, 96), (9, 72)])
+def test_program_sampler_matches_a_fresh_boost_at_every_mark(r, m):
+    # eqpa rarely meets two windows at one d (the first boosted draw there is
+    # informative with high probability), so drive the sampler over every
+    # (d, j) directly: a key coarser than the good set shows here
+    f = PeriodicFunction.from_table(np.random.default_rng(r).permutation(m)[:r][np.arange(m) % r])
+    structure = _analyze(f)
+    cached, fresh = periodfind._ProgramSampler(f, structure), _FreshBoostSampler(f, structure)
+    for d in (x for x in range(1, r + 1) if r % x == 0):
+        for j in range(-1, m.bit_length()):
+            for seed in range(3):
+                assert cached.sample(d, j, np.random.default_rng(seed)) == fresh.sample(d, j, np.random.default_rng(seed))
+    assert len(cached.marginals) == len({(d, _support_window(r, m, d, j)) for d in range(1, r + 1) if r % d == 0
+                                         for j in range(-1, m.bit_length())})
+
+
+@pytest.mark.parametrize("r", range(1, 25))
+def test_mark_key_is_exactly_the_good_set_on_the_support(r):
+    # two (d, j) share the program engine's boost key exactly when their
+    # marks agree on every support outcome: a coarser key would draw from
+    # the wrong marginal, a finer one boost the same good set twice
+    for m in range(r, 97, r):
+        step = m // r
+        k = np.repeat(np.arange(r) * step, 2)
+        b = np.tile([0, 1], r)
+        bits = {}
+        for d in (x for x in range(1, r + 1) if r % x == 0):
+            for j in range(-1, m.bit_length()):
+                key = d, periodfind._mark_run(r, step, d, j)[2]
+                assert key[1] == _support_window(r, m, d, j)
+                bits.setdefault(key, set()).add(goodness(d, m, j).fn(k, b).tobytes())
+        assert all(len(patterns) == 1 for patterns in bits.values())
+        assert len(set().union(*bits.values())) == len(bits)
 
 
 def test_program_engine_peak_memory_is_one_boost():
