@@ -19,7 +19,7 @@ plus masked divisibility votes on ascending prime powers.
 Each public protocol validates its inputs and runs an internal body on one
 run context (parties, transcript, layer stack).  Nested layers (the LCM in
 PSU, the PSU and votes in GCD, the GCD in PSI) run their bodies on that same
-context, so a reject in any layer rejects the whole run.
+context, so the whole run shares one transcript and one set of parties.
 
 A per-run leakage audit checks that the only classical values on the wire
 are masked multiples, the public modulus, masked vote shares, public vote
@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .factorint import encode_set, decode_set, factorize, nth_prime
+from .factorint import encode_set, decode_set, factorize
 from .periodfind import PeriodicFunction, eqpa
 
 KIND_INT = "classical-integer"
@@ -162,10 +162,14 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolResult:
+    """One protocol run.  ``accept`` is always True and ``repetitions`` always 0,
+    because EQPA is exact; both are kept for callers that still read them.
+    """
+
     output: object
     transcript: Transcript
     party_views: tuple[dict, ...]
-    accept: bool
+    accept: bool = True
     repetitions: int = 0
     layer_inputs: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
@@ -199,19 +203,11 @@ class _Context:
         self.transcript.log(kind, sender, receiver, {"role": role, "value": value, "layer": layer})
 
 
-class _Reject(Exception):
-    """A layer's uncompute check failed; the whole run rejects."""
-
-
 def _run(n: int, seed: int, body) -> ProtocolResult:
     """Run ``body`` on one fresh context of n parties and close the run."""
     ctx = _Context(n, seed)
-    try:
-        output, accept = body(ctx), True
-    except _Reject:
-        output, accept = None, False
-    return ProtocolResult(output, ctx.transcript, _party_views(ctx, output), accept=accept,
-                          layer_inputs=tuple(ctx.layers))
+    output = body(ctx)
+    return ProtocolResult(output, ctx.transcript, _party_views(ctx, output), layer_inputs=tuple(ctx.layers))
 
 
 def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
@@ -286,17 +282,6 @@ def _joint_residue_function(secrets: Sequence[int], k: int) -> PeriodicFunction:
     return PeriodicFunction(modulus=k, evaluator=evaluate, residues=tuple(xs))
 
 
-def _simulate_prep_pass(ctx: _Context) -> int:
-    """Run the first state-preparation pass; ``_lcm`` logs its ring walk.
-
-    P_0 prepares |j>_h|j>_t, each party folds its residue oracle into its
-    own e register while t walks the ring, and P_0 uncomputes t and measures
-    it.  The outcome is 0 by construction: t holds an exact copy of h, and
-    subtracting that copy leaves |0> on every branch.  Returns the t outcome.
-    """
-    return 0
-
-
 def lcm_protocol(secrets: Sequence[int], m_bits: int, seed: int = 0) -> ProtocolResult:
     """Jointly compute lcm of the secrets without revealing them.
 
@@ -319,11 +304,9 @@ def _lcm(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     k = math.prod(ys)
     ctx.log_value(0, BROADCAST, ROLE_MODULUS, k, layer)
 
-    # steps 4-5: first oracle-chain pass and the uncompute check of its copy
-    if _simulate_prep_pass(ctx) != 0:
-        raise _Reject  # declared rejection path; unreachable in honest runs
-
-    # step 6: exact period finding on the joint function.  From the prep pass
+    # steps 4-6: the prep pass, then exact period finding on the joint
+    # function.  The prep pass's uncompute check needs no branch: t holds an
+    # exact copy of h, so it reads 0 in every honest run.  From the prep pass
     # on, each A, A^{-1} and A walks the ring once: one pass per Fourier call.
     result, trace = eqpa(_joint_residue_function(secrets, k), ctx.parties[0].rng)
     ctx.transcript.log_ring(len(secrets), trace.fourier_calls)
@@ -433,15 +416,15 @@ def _gcd(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     # step 1: each party factors its input locally and keeps its radical (no messages)
     radicals = [math.prod(set(factorize(x, party.rng).factors)) for party, x in zip(ctx.parties, secrets)]
 
-    # step 2: private union of the prime sets.  A radical is the set encoding
-    # of its primes' indices in the public universe of primes below 2^m_bits;
-    # each index is below 2^m_bits and the universe size is never logged, so
-    # 2^m_bits serves as the index bound without listing the primes.
-    union = _set_layer(ctx, "psu", radicals, 1 << m_bits, _lcm)
+    # step 2: private union of the prime sets: the joint LCM of the radicals,
+    # published as its primes
+    psu = ctx.push_layer("psu", radicals)
+    lcm = _lcm(ctx, radicals, max(r.bit_length() for r in radicals))
+    union = _publish(ctx, psu, frozenset(factorize(lcm).factors))
 
     # step 3: ascending power votes fix each prime's common exponent
     result = 1
-    for p in sorted(nth_prime(u + 1) for u in union):
+    for p in sorted(union):
         exponent = 0
         while p ** (exponent + 1) < (1 << m_bits):
             if not _vote(ctx, secrets, p ** (exponent + 1), layer):

@@ -273,8 +273,7 @@ class EqpaTrace:
     """Per-iteration log of one exact period-finding run."""
 
     records: list[EqpaRecord] = field(default_factory=list)
-    fourier_calls: int = 0
-    oracle_calls: int = 0
+    fourier_calls: int = 0  # each transform comes with one oracle pass, so this counts both
     sweeps: int = 0
 
 
@@ -516,7 +515,6 @@ def eqpa(
             if j == -1:
                 trace.sweeps += 1
             trace.fourier_calls += 3  # A, A^{-1}, A each carry one transform
-            trace.oracle_calls += 3
             informative = (d * k) % m != 0
             d_after = math.lcm(d, m // math.gcd(m, k)) if informative else d
             record = EqpaRecord(trace.sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,

@@ -177,6 +177,23 @@ class TestAuditCommand:
         code, _, _ = run_cli(capsys, "audit", "--protocol", "lcm")
         assert code == 2
 
+    def test_failed_audit_exits_three(self, monkeypatch, capsys):
+        import qperiod.mpqc as mpqc_mod
+
+        honest = mpqc_mod.lcm_protocol
+
+        def leaky(secrets, m_bits, seed=0):
+            result = honest(secrets, m_bits, seed=seed)
+            result.transcript.log(mpqc_mod.KIND_INT, 1, 0, {"role": "debug", "value": secrets[1]})
+            return result
+
+        monkeypatch.setattr(mpqc_mod, "lcm_protocol", leaky)
+        code, out, _ = run_cli(capsys, "audit", "--protocol", "lcm", "--inputs", "4,6", "--bits", "5")
+        assert code == 3
+        report = json.loads(out)["output"]
+        assert report["passed"] is False
+        assert any("raw secret value 6" in v for v in report["violations"])
+
 
 class TestBench:
     def test_eqpa_stats(self, capsys):
@@ -210,15 +227,6 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["output"] == 6
-
-
-def test_protocol_reject_exits_three(monkeypatch, capsys):
-    import qperiod.mpqc as mpqc_mod
-
-    monkeypatch.setattr(mpqc_mod, "_simulate_prep_pass", lambda *a, **k: 1)
-    code, out, _ = run_cli(capsys, "lcm", "--inputs", "4,6", "--bits", "5")
-    assert code == 3
-    assert json.loads(out)["output"] is None
 
 
 def test_lcm_of_four_8_bit_primes_runs_past_the_scan_budget(capsys):
@@ -263,15 +271,14 @@ def test_psi_over_full_eight_element_universe_prints_it(capsys):
     assert json.loads(out)["output"] == list(range(8))
 
 
-def test_gcd_of_31_bit_primes_exits_two_at_the_sieve_cap(capsys):
-    # the joint LCM of the radicals runs; decoding its prime needs pi(2^31 - 1),
-    # past the prime sieve's cap
+def test_gcd_of_31_bit_primes_prints_the_prime(capsys):
+    # the union of the radicals' primes is published as primes, so no prime
+    # index past the sieve's cap is ever asked for
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "gcd", "--inputs", "2147483647,2147483647", "--bits", "31")
-    assert time.perf_counter() - start < 2.0
-    assert code == 2
-    assert out == ""
-    assert "sieve cap" in err
+    code, out, _ = run_cli(capsys, "gcd", "--inputs", "2147483647,2147483647", "--bits", "31")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["output"] == 2147483647
 
 
 def test_psu_over_ten_elements_at_three_parties(capsys):
@@ -351,16 +358,16 @@ _GOLDEN = [
      "3cab103df1182add666930747b397f052f4e200441d9ea9785b7f1e0181a63ca"),
     (("gcd", "--inputs", "12,18", "--bits", "5"),
      "cc0e11e5c50b2beda8228730f2d043e2dd9e55eb750617169abd4b8fc56e1684",
-     "05075d2680735105f1c884197c3e850b2129076c6b940fbc9a02a8d006543883"),
+     "67bfd2ad9107e78809ef09583b27851c6a6901a0d76866cb1dfee4bc004e7ce7"),
     (("gcd", "--inputs", "245,175,35", "--bits", "8", "--seed", "4"),
      "8c6832448c3253cebf157d9104629b0eab8c25268e2be2310e4cd3fc80d26249",
-     "9825db5b021db52fd8c81ce679f886e30d7b9403483484f07effffe06171e666"),
+     "a2ccaffc68b24b9b62471400fd4ddc945e9acd9ddce4131bb31ced5a097dc78c"),
     (("psu", "--sets", "1,2;2,3", "--universe", "4"),
      "53ea65592c4af9ecf7d860a4c5cbbb565a48ff6bbc6c705639e36ec2aea5b980",
      "9d6cb562d999102527b843e600a24674e6155075c9a58762e259de5f908ffdd3"),
     (("psi", "--sets", "1,2;2,3", "--universe", "4"),
      "c1c31e57e5cd4cef0112fcd216639c76b32460e03c0b1238ec9cda580080d4dd",
-     "c51a6532f976bf529c7d104379e31185b38de7202c03af556ada771c6f51b658"),
+     "ba2e4302abf9c6dc5b7b077077e2e56a8ec55432dc5e551f07b36d8b02ebdca1"),
 ]
 
 

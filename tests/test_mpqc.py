@@ -260,6 +260,25 @@ class TestGcdProtocol:
         assert time.perf_counter() - start < 0.2
         assert res.accept and res.output == 524287
 
+    def test_41_bit_prime_passes_its_audit(self):
+        # far past the prime sieve's cap: the union is published as primes
+        start = time.perf_counter()
+        res = gcd_protocol([2199023255531, 2199023255531], 41)
+        report = leakage_audit(res, [2199023255531, 2199023255531])
+        assert time.perf_counter() - start < 1.0
+        assert res.output == 2199023255531
+        assert report.passed, report.violations
+
+    def test_union_needs_no_prime_index(self, monkeypatch):
+        import qperiod.factorint as factorint_mod
+
+        def refuse(*args):
+            raise AssertionError("GCD maps a prime to or from its index")
+
+        monkeypatch.setattr(factorint_mod, "nth_prime", refuse)
+        monkeypatch.setattr(factorint_mod, "prime_index", refuse)
+        assert gcd_protocol([12, 18], 5).output == 6
+
 
 class TestPsiProtocol:
     def test_overlapping_pair(self):
@@ -374,34 +393,6 @@ class TestExhaustiveSmall:
 
 
 class TestRejectPath:
-    def test_nonzero_copy_check_rejects(self, monkeypatch):
-        import qperiod.mpqc as mpqc_mod
-
-        monkeypatch.setattr(mpqc_mod, "_simulate_prep_pass", lambda *a, **k: 1)
-        res = lcm_protocol([4, 6], 5, seed=0)
-        assert not res.accept
-        assert res.output is None
-
-    @pytest.mark.parametrize(
-        "kind, args, argv",
-        [
-            ("psu", ([{1, 2}, {2, 3}], 4), ("psu", "--sets", "1,2;2,3", "--universe", "4")),
-            ("gcd", ([12, 18], 5), ("gcd", "--inputs", "12,18", "--bits", "5")),
-            ("psi", ([{1, 2}, {2, 3}], 4), ("psi", "--sets", "1,2;2,3", "--universe", "4")),
-        ],
-    )
-    def test_nested_reject_rejects_the_whole_run(self, monkeypatch, capsys, kind, args, argv):
-        import qperiod.mpqc as mpqc_mod
-        from qperiod.cli import main
-
-        monkeypatch.setattr(mpqc_mod, "_simulate_prep_pass", lambda *a, **k: 1)
-        res = _PROTOCOLS[kind](*args, seed=0)
-        assert not res.accept
-        assert res.output is None
-        assert all(view["output"] is None for view in res.party_views)
-        assert main(list(argv)) == 3
-        assert json.loads(capsys.readouterr().out)["output"] is None
-
     def test_honest_runs_always_accept(self):
         for seed in range(25):
             res = lcm_protocol([4, 6, 9], 5, seed=seed)
@@ -435,26 +426,6 @@ def test_literal_prep_pass_leaves_copy_register_at_zero(secrets, m_bits):
     assert sorted(h.tolist()) == list(range(k))
     for i, x in enumerate(secrets):
         assert np.array_equal(state.values_column(f"e{i}"), h % x)
-
-
-@pytest.mark.parametrize("m_bits, small_modulus", [(5, True), (7, False)])
-def test_prep_pass_seam_called_once_for_every_modulus(monkeypatch, m_bits, small_modulus):
-    import qperiod.mpqc as mpqc_mod
-
-    calls = []
-    real = mpqc_mod._simulate_prep_pass
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mpqc_mod, "_simulate_prep_pass", counting)
-    res = lcm_protocol([3, 4, 5], m_bits, seed=0)
-    k = next(m.payload["value"] for m in res.transcript.messages if m.payload.get("role") == "modulus-broadcast")
-    assert (k <= 1 << 18) == small_modulus
-    assert len(calls) == 1
-    assert res.accept and res.output == 60
-    assert res.counters["rounds"] == 3 * res.counters["oracle_passes"]
 
 
 # ---------------------------------------------------------------------------

@@ -900,7 +900,6 @@ def _per_iteration_eqpa(f, rng):
         for j in range(-1, m.bit_length()):
             k, b, chi, mass = sampler.sample(d, j, rng)
             trace.fourier_calls += 3
-            trace.oracle_calls += 3
             informative = (d * k) % m != 0
             d_after = math.lcm(d, m // math.gcd(m, k)) if informative else d
             trace.records.append(
@@ -945,7 +944,7 @@ def test_settled_tail_matches_per_iteration_loop():
         ref_period, ref = _per_iteration_eqpa(f, ref_rng)
         assert period == ref_period == r
         assert trace.records == ref.records == seen_records
-        assert (trace.fourier_calls, trace.oracle_calls, trace.sweeps) == (ref.fourier_calls, ref.oracle_calls, ref.sweeps)
+        assert (trace.fourier_calls, trace.sweeps) == (ref.fourier_calls, ref.sweeps)
         assert rng.random() == ref_rng.random()
         if r == 1:
             seen.add("r = 1")
@@ -1018,7 +1017,7 @@ def _outcome(f, seed, engine):
         period, trace = eqpa(f, np.random.default_rng(seed), engine=engine)
     except ValueError as exc:  # PromiseViolation included
         return type(exc)
-    return period, trace.records, (trace.fourier_calls, trace.oracle_calls, trace.sweeps)
+    return period, trace.records, (trace.fourier_calls, trace.sweeps)
 
 
 _BREAKS = ("valid", "repeat", "non-dividing", "break", "residue probe", "shift probe", "shifted point")
