@@ -1,8 +1,9 @@
 """Simulated n-party protocols: LCM, divisibility voting, PSU, GCD, PSI.
 
 Parties communicate over an authenticated in-process channel; every
-classical message is logged into a transcript with live counters, and each
-LCM run's register handoffs as one record of its ring passes.  The LCM
+classical message is logged into a transcript with live counters, each
+LCM run's register handoffs as one record of its ring passes, and each
+divisibility vote as one record of its shares, tallies and result.  The LCM
 protocol is the workhorse: each party masks its secret as y_i = x_i * q
 with a random q chosen so that y_i always lands in [2^m, 2^{m+1}), the
 coordinator broadcasts k = prod(y_i) (a guaranteed multiple of the joint
@@ -23,7 +24,8 @@ context, so the whole run shares one transcript and one set of parties.
 
 A per-run leakage audit checks that the only classical values on the wire
 are masked multiples, the public modulus, masked vote shares, public vote
-candidates/results, and protocol outputs.
+candidates/results, and protocol outputs, and that each vote's tallies and
+result follow from its shares.
 """
 
 from __future__ import annotations
@@ -90,16 +92,62 @@ class _Ring(NamedTuple):
     rounds: int  # the round counter before the run
     fourier_calls: int  # the Fourier counter before the run
 
+    def messages(self) -> list[TranscriptMessage]:
+        out = []
+        forward = [(i, (i + 1) % self.n) for i in range(self.n)]
+        inverse = [(b, a) for a, b in reversed(forward)]
+        for i in range(self.passes):
+            p, fourier = self.pass_no + i, self.fourier_calls + 3 * (i // 3)
+            direction, hops = ("inverse", inverse) if i % 3 == 1 else ("forward", forward)
+            for rounds, (a, b) in enumerate(hops, start=self.rounds + self.n * i + 1):
+                payload = {"registers": ["t"], "pass": p, "direction": direction}
+                counters = {"rounds": rounds, "oracle_passes": p, "fourier_calls": fourier}
+                out.append(TranscriptMessage(rounds, a, b, KIND_HANDOFF, payload, counters))
+        return out
+
+
+class _Vote(NamedTuple):
+    """One divisibility vote of n parties, stored in place of its n^2 + 2 messages.
+
+    In order: party 0 broadcasts the candidate, party i sends share j of
+    its no-vote to each party j != i (row by row), party j broadcasts its
+    tally (the sum of column j mod n+1), and party 0 broadcasts the result
+    (whether the tallies sum to 0 mod n+1).  All carry the vote's counters.
+    """
+
+    layer: int
+    candidate: int
+    shares: list[list[int]]  # row i holds party i's shares of its own no-vote
+    tallies: list[int]
+    result: bool
+    rounds: int  # the counters at the vote
+    oracle_passes: int
+    fourier_calls: int
+
+    def messages(self) -> list[TranscriptMessage]:
+        def message(sender, receiver, kind: str, role: str, value) -> TranscriptMessage:
+            counters = {"rounds": self.rounds, "oracle_passes": self.oracle_passes, "fourier_calls": self.fourier_calls}
+            payload = {"role": role, "value": value, "layer": self.layer}
+            return TranscriptMessage(self.rounds, sender, receiver, kind, payload, counters)
+
+        out = [message(0, BROADCAST, KIND_INT, ROLE_VOTE_CANDIDATE, self.candidate)]
+        for i, row in enumerate(self.shares):
+            out.extend(message(i, j, KIND_SHARE, ROLE_VOTE_SHARE, share) for j, share in enumerate(row) if j != i)
+        out.extend(message(j, BROADCAST, KIND_SHARE, ROLE_VOTE_TALLY, tally) for j, tally in enumerate(self.tallies))
+        out.append(message(0, BROADCAST, KIND_INT, ROLE_VOTE_RESULT, self.result))
+        return out
+
 
 class Transcript:
     """Ordered message log with live round/pass/Fourier counters.
 
-    An LCM run's ring passes are one record, expanded into n handoff
-    messages per pass only when ``messages`` or ``to_jsonl`` is read.
+    An LCM run's ring passes are one record, and so is each divisibility
+    vote; a record is expanded into its messages (n handoffs per ring pass,
+    n^2 + 2 per vote) only when ``messages`` or ``to_jsonl`` is read.
     """
 
     def __init__(self) -> None:
-        self._log: list[TranscriptMessage | _Ring] = []
+        self._log: list[TranscriptMessage | _Ring | _Vote] = []
         self.rounds = 0
         self.oracle_passes = 0
         self.fourier_calls = 0
@@ -116,18 +164,10 @@ class Transcript:
     def messages(self) -> tuple[TranscriptMessage, ...]:
         out: list[TranscriptMessage] = []
         for entry in self._log:
-            if not isinstance(entry, _Ring):
+            if isinstance(entry, TranscriptMessage):
                 out.append(entry)
-                continue
-            forward = [(i, (i + 1) % entry.n) for i in range(entry.n)]
-            inverse = [(b, a) for a, b in reversed(forward)]
-            for i in range(entry.passes):
-                p, fourier = entry.pass_no + i, entry.fourier_calls + 3 * (i // 3)
-                direction, hops = ("inverse", inverse) if i % 3 == 1 else ("forward", forward)
-                for rounds, (a, b) in enumerate(hops, start=entry.rounds + entry.n * i + 1):
-                    payload = {"registers": ["t"], "pass": p, "direction": direction}
-                    counters = {"rounds": rounds, "oracle_passes": p, "fourier_calls": fourier}
-                    out.append(TranscriptMessage(rounds, a, b, KIND_HANDOFF, payload, counters))
+            else:
+                out.extend(entry.messages())
         return tuple(out)
 
     def log(self, kind: str, sender, receiver, payload: dict) -> None:
@@ -140,23 +180,38 @@ class Transcript:
         self.fourier_calls += passes
         self.rounds += n * passes
 
+    def log_vote(self, layer: int, candidate: int, shares: list[list[int]], tallies: list[int], result: bool) -> None:
+        """A divisibility vote: its share matrix (row i is party i's shares), tallies and result."""
+        self._log.append(_Vote(layer, candidate, shares, tallies, result,
+                               self.rounds, self.oracle_passes, self.fourier_calls))
+
     def to_jsonl(self) -> str:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
 
     def verify_handoff_chain(self) -> bool:
-        """Each handoff pass must be a connected ring walk."""
-        last_by_pass: dict[int, int] = {}
+        """Each handoff pass must be a connected ring walk.
+
+        A ring record's passes each walk from party 0 back to party 0, and
+        its passes are contiguous, so it is checked against the handoff
+        messages on its span alone.
+        """
+        last_by_pass: dict[int, int] = {}  # the last receiver on each pass a handoff message took
+        rings: list[range] = []
         for entry in self._log:
-            if isinstance(entry, _Ring):  # each pass walks from party 0 back to party 0
-                hops = [(p, 0, 0) for p in range(entry.pass_no, entry.pass_no + entry.passes)]
-            elif entry.kind == KIND_HANDOFF:
-                hops = [(entry.payload["pass"], entry.sender, entry.receiver)]
-            else:
-                continue
-            for p, sender, receiver in hops:
-                if last_by_pass.get(p, sender) != sender:
+            if isinstance(entry, _Ring):
+                span = range(entry.pass_no, entry.pass_no + entry.passes)
+                for p, receiver in last_by_pass.items():
+                    if p in span:
+                        if receiver != 0:
+                            return False
+                        last_by_pass[p] = 0
+                rings.append(span)
+            elif isinstance(entry, TranscriptMessage) and entry.kind == KIND_HANDOFF:
+                p, sender = entry.payload["pass"], entry.sender
+                last = last_by_pass.get(p, 0 if any(p in span for span in rings) else sender)
+                if last != sender:
                     return False
-                last_by_pass[p] = receiver
+                last_by_pass[p] = entry.receiver
         return True
 
 
@@ -199,8 +254,8 @@ class _Context:
         self.layers.append((name, tuple(int(v) for v in inputs)))
         return len(self.layers) - 1
 
-    def log_value(self, sender, receiver, role: str, value, layer: int, kind: str = KIND_INT) -> None:
-        self.transcript.log(kind, sender, receiver, {"role": role, "value": value, "layer": layer})
+    def log_value(self, sender, receiver, role: str, value, layer: int) -> None:
+        self.transcript.log(KIND_INT, sender, receiver, {"role": role, "value": value, "layer": layer})
 
 
 def _run(n: int, seed: int, body) -> ProtocolResult:
@@ -211,18 +266,23 @@ def _run(n: int, seed: int, body) -> ProtocolResult:
 
 
 def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
-    # Each ring pass sends and receives one handoff per party.
+    # Each ring pass sends and receives one handoff per party.  In a vote of
+    # n parties each party sends n - 1 shares and a tally and receives n - 1
+    # shares, and party 0 also broadcasts the candidate and the result.
     passes = ctx.transcript.oracle_passes
-    classical = [m for m in ctx.transcript._log if not isinstance(m, _Ring)]
-    return tuple(
-        {
-            "party": p.id,
-            "sent": passes + sum(m.sender == p.id for m in classical),
-            "received": passes + sum(m.receiver == p.id for m in classical),
-            "output": output,
-        }
-        for p in ctx.parties
-    )
+    sent = dict.fromkeys(range(len(ctx.parties)), passes)
+    received = dict(sent)
+    for entry in ctx.transcript._log:
+        if isinstance(entry, TranscriptMessage):
+            sent[entry.sender] = sent.get(entry.sender, 0) + 1
+            received[entry.receiver] = received.get(entry.receiver, 0) + 1
+        elif isinstance(entry, _Vote):
+            n = len(entry.tallies)
+            for i in range(n):
+                sent[i] += n
+                received[i] += n - 1
+            sent[0] += 2
+    return tuple({"party": p.id, "sent": sent[p.id], "received": received[p.id], "output": output} for p in ctx.parties)
 
 
 def _publish(ctx: _Context, layer: int, output):
@@ -325,16 +385,20 @@ def _shares_from_masks(value: int, masks: Sequence[int], modulus: int) -> list[i
 
 
 def additive_shares(value: int, count: int, modulus: int, rng: np.random.Generator) -> list[int]:
-    masks = rng.integers(0, modulus, size=count - 1) if count > 1 else []
-    return _shares_from_masks(value, list(map(int, masks)), modulus)
+    # count - 1 single draws take the values of one draw of size count - 1
+    # and leave the generator in the same state, without the array set-up
+    # that makes a sized draw cost about four single ones
+    masks = [rng.integers(0, modulus) for _ in range(count - 1)]
+    return _shares_from_masks(value, masks, modulus)
 
 
 def divisibility_vote(secrets: Sequence[int], candidate: int, rng: np.random.Generator | None = None) -> bool:
     """True iff the candidate divides every secret.
 
     Realised as a masked additive sum of no-votes modulo n+1: the sum is 0
-    exactly when everyone voted yes, and no individual vote appears in the
-    transcript (each share is marginally uniform).
+    exactly when everyone voted yes.  Each share is marginally uniform, so
+    no share shows its sender's vote, but the broadcast tallies sum to the
+    number of no-votes, which every party can read.
     """
     if candidate < 1:
         raise ProtocolError("candidate must be positive")
@@ -345,27 +409,13 @@ def divisibility_vote(secrets: Sequence[int], candidate: int, rng: np.random.Gen
 
 
 def _vote(ctx: _Context, secrets: Sequence[int], candidate: int, layer: int) -> bool:
-    n = len(secrets)
-    modulus = n + 1
-    ctx.log_value(0, BROADCAST, ROLE_VOTE_CANDIDATE, candidate, layer)
-    votes = [0 if x % candidate == 0 else 1 for x in secrets]
-
-    # share matrix: row i = party i's shares of its own vote
-    columns = [0] * n
-    for party, vote in zip(ctx.parties, votes):
-        shares = additive_shares(vote, n, modulus, party.rng)
-        for j, share in enumerate(shares):
-            columns[j] = (columns[j] + share) % modulus
-            if j != party.id:
-                ctx.log_value(party.id, j, ROLE_VOTE_SHARE, share, layer, kind=KIND_SHARE)
-
-    total = 0
-    for j in range(n):
-        ctx.log_value(j, BROADCAST, ROLE_VOTE_TALLY, columns[j], layer, kind=KIND_SHARE)
-        total = (total + columns[j]) % modulus
-
-    result = total == 0
-    ctx.log_value(0, BROADCAST, ROLE_VOTE_RESULT, result, layer)
+    modulus = len(secrets) + 1
+    # share matrix: row i = party i's shares of its own no-vote
+    shares = [additive_shares(0 if x % candidate == 0 else 1, len(secrets), modulus, party.rng)
+              for party, x in zip(ctx.parties, secrets)]
+    tallies = [sum(column) % modulus for column in zip(*shares)]
+    result = sum(tallies) % modulus == 0
+    ctx.transcript.log_vote(layer, candidate, shares, tallies, result)
     return result
 
 
@@ -467,6 +517,12 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
     and divisible), the public modulus, vote candidates/shares/tallies/
     results, and broadcast outputs.  Any unknown message role, any malformed
     payload, and any raw secret value outside the exempt roles fails.
+
+    A vote record is checked in bulk; only if some value in it is out of
+    form are its messages checked one by one, so violations name the same
+    message indices as an audit of the expanded ``messages``.  A vote must
+    also be consistent: each tally the sum of its share column mod n+1, and
+    the result true exactly when the tallies sum to 0 mod n+1.
     """
     secrets = [int(s) for s in secrets]
     layer_inputs = {i: vals for i, (_, vals) in enumerate(result.layer_inputs)}
@@ -476,55 +532,87 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
 
     violations: list[str] = []
     checked = 0
-    idx = -1  # each message's index in the expanded ``messages``
-    for msg in result.transcript._log:
-        if isinstance(msg, _Ring):
-            idx += msg.n * msg.passes
+    idx = 0  # the index of the entry's first message in the expanded ``messages``
+    for entry in result.transcript._log:
+        if isinstance(entry, _Ring):
+            idx += entry.n * entry.passes
             continue
+        if isinstance(entry, _Vote):
+            size = len(entry.tallies) ** 2 + 2
+            inputs = layer_inputs.get(entry.layer, secrets)
+            _check_vote(entry, idx, len(inputs), violations, layer_inputs, secrets, sensitive)
+            checked += size
+            idx += size
+            continue
+        if entry.kind != KIND_HANDOFF:
+            checked += 1
+            _check_message(entry, idx, violations, layer_inputs, secrets, sensitive)
         idx += 1
-        if msg.kind == KIND_HANDOFF:
-            continue
-        checked += 1
-        role = msg.payload.get("role")
-        value = msg.payload.get("value")
-        layer = msg.payload.get("layer")
-        inputs = layer_inputs.get(layer, tuple(secrets))
-        n = len(inputs)
-
-        if role == ROLE_MASKED_MULTIPLE:
-            if not isinstance(msg.sender, int) or msg.sender >= n:
-                violations.append(f"message {idx}: masked multiple from unknown sender")
-            else:
-                x = inputs[msg.sender]
-                if value % x != 0 or value <= x:
-                    violations.append(f"message {idx}: value {value} is not a masked multiple of the sender's input")
-        elif role == ROLE_MODULUS:
-            if any(value % x != 0 for x in inputs):
-                violations.append(f"message {idx}: modulus {value} not divisible by every input")
-        elif role == ROLE_RESULT:
-            pass  # protocol outputs are public by definition
-        elif role == ROLE_VOTE_CANDIDATE:
-            if not isinstance(value, int) or value < 2:
-                violations.append(f"message {idx}: malformed vote candidate {value}")
-        elif role in (ROLE_VOTE_SHARE, ROLE_VOTE_TALLY):
-            if not isinstance(value, int) or not 0 <= value <= n:
-                violations.append(f"message {idx}: share {value} outside the masking group")
-        elif role == ROLE_VOTE_RESULT:
-            if not isinstance(value, bool):
-                violations.append(f"message {idx}: vote result must be boolean")
-        else:
-            violations.append(f"message {idx}: unknown message role {role!r}")
-
-        if role not in _EQUALITY_EXEMPT and isinstance(value, int):
-            # Well-formed masked values sit above their own layer's inputs by
-            # construction, so scan against those; a message without a valid
-            # layer (e.g. injected) is held against every known secret.
-            basis = layer_inputs.get(layer)
-            scan = set(basis) if basis is not None else sensitive
-            if value in scan:
-                violations.append(f"message {idx}: raw secret value {value} on the wire")
 
     if not result.transcript.verify_handoff_chain():
         violations.append("register handoffs do not form connected ring passes")
 
     return AuditReport(passed=not violations, violations=tuple(violations), messages_checked=checked)
+
+
+def _check_vote(vote: _Vote, idx: int, n: int, violations: list[str], *context) -> None:
+    """Audit a vote record whose first message has index ``idx``, for a layer of n inputs."""
+    values = [v for row in vote.shares for v in row]
+    values += vote.tallies
+    ints = {*map(type, values)} <= {int, bool} or all(isinstance(v, int) for v in values)
+    if not (ints and 0 <= min(values) and max(values) <= n and isinstance(vote.candidate, int)
+            and vote.candidate >= 2 and isinstance(vote.result, bool)):
+        for offset, msg in enumerate(vote.messages()):
+            _check_message(msg, idx + offset, violations, *context)
+    if not ints:
+        return
+    parties = len(vote.tallies)
+    modulus = parties + 1
+    if [sum(column) % modulus for column in zip(*vote.shares)] != vote.tallies:
+        violations.append(f"message {idx + parties * (parties - 1) + 1}: "
+                          f"vote tallies {vote.tallies} are not the column sums of the shares mod {modulus}")
+    if vote.result != (sum(vote.tallies) % modulus == 0):
+        violations.append(f"message {idx + parties * parties + 1}: vote result {vote.result} contradicts the tallies")
+
+
+def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
+                   layer_inputs: dict, secrets: list[int], sensitive: set[int]) -> None:
+    """Audit one classical message, the one at index ``idx`` of the expanded ``messages``."""
+    role = msg.payload.get("role")
+    value = msg.payload.get("value")
+    layer = msg.payload.get("layer")
+    inputs = layer_inputs.get(layer, secrets)
+    n = len(inputs)
+
+    if role == ROLE_MASKED_MULTIPLE:
+        if not isinstance(msg.sender, int) or msg.sender >= n:
+            violations.append(f"message {idx}: masked multiple from unknown sender")
+        else:
+            x = inputs[msg.sender]
+            if value % x != 0 or value <= x:
+                violations.append(f"message {idx}: value {value} is not a masked multiple of the sender's input")
+    elif role == ROLE_MODULUS:
+        if any(value % x != 0 for x in inputs):
+            violations.append(f"message {idx}: modulus {value} not divisible by every input")
+    elif role == ROLE_RESULT:
+        pass  # protocol outputs are public by definition
+    elif role == ROLE_VOTE_CANDIDATE:
+        if not isinstance(value, int) or value < 2:
+            violations.append(f"message {idx}: malformed vote candidate {value}")
+    elif role in (ROLE_VOTE_SHARE, ROLE_VOTE_TALLY):
+        if not isinstance(value, int) or not 0 <= value <= n:
+            violations.append(f"message {idx}: share {value} outside the masking group")
+    elif role == ROLE_VOTE_RESULT:
+        if not isinstance(value, bool):
+            violations.append(f"message {idx}: vote result must be boolean")
+    else:
+        violations.append(f"message {idx}: unknown message role {role!r}")
+
+    if role not in _EQUALITY_EXEMPT and isinstance(value, int):
+        # Well-formed masked values sit above their own layer's inputs by
+        # construction, so scan against those; a message without a valid
+        # layer (e.g. injected) is held against every known secret.
+        basis = layer_inputs.get(layer)
+        scan = set(basis) if basis is not None else sensitive
+        if value in scan:
+            violations.append(f"message {idx}: raw secret value {value} on the wire")

@@ -29,7 +29,9 @@ Both consume one rng draw per iteration and produce identical traces.
 Once d = r no outcome can update d, so the rest of the run is known in
 advance; the block engine then takes all of its draws in one
 ``rng.random(count)``, which yields the same values and leaves the
-generator in the same state as ``count`` single draws.
+generator in the same state as ``count`` single draws.  Either engine keeps
+that settled tail as one record of its outcomes, and builds its
+per-iteration records only when the trace's ``records`` are read.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ def marked_program(f: PeriodicFunction, d: int, j: int) -> ReversibleProgram:
 class EqpaRecord(NamedTuple):
     """One iteration of an EQPA run.
 
-    A named tuple because one is built per iteration, settled ones
-    included, and it builds in a fraction of a frozen dataclass's time.
+    A named tuple because one is built per iteration that is read, and it
+    builds in a fraction of a frozen dataclass's time.
     """
 
     sweep: int
@@ -268,13 +270,61 @@ class EqpaRecord(NamedTuple):
         return self._asdict()
 
 
-@dataclass
-class EqpaTrace:
-    """Per-iteration log of one exact period-finding run."""
+class _Tail(NamedTuple):
+    """The settled iterations of an EQPA run, stored in place of their records.
 
-    records: list[EqpaRecord] = field(default_factory=list)
-    fourier_calls: int = 0  # each transform comes with one oracle pass, so this counts both
-    sweeps: int = 0
+    From d = r on no outcome updates d, so each iteration's record follows
+    from its j and its sampled (k, b, chi, good_mass) alone.  The outcomes
+    may be a one-pass iterable, so :meth:`records` is called once: by
+    :func:`eqpa` when it has an ``on_iteration`` callback, else by the
+    trace, which keeps the result.
+    """
+
+    sweeps: int  # the sweep count before the tail
+    fourier_calls: int  # the Fourier count before the tail
+    d: int
+    js: list[int]
+    outcomes: Iterable[tuple[int, int, int, float]]  # from the sampler's ``settled``, read once
+
+    def records(self) -> list[EqpaRecord]:
+        out = []
+        sweeps, calls, d = self.sweeps, self.fourier_calls, self.d
+        for j, (k, b, chi, mass) in zip(self.js, self.outcomes):
+            sweeps += j == -1
+            calls += 3
+            out.append(EqpaRecord(sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL, False, d, calls))
+        return out
+
+
+class EqpaTrace:
+    """Per-iteration log of one exact period-finding run.
+
+    The settled tail of a run (every iteration from d = r on) is one
+    :class:`_Tail`, expanded into records on the first read of
+    ``records``, which keeps the result.  Without a tail, ``records`` is
+    the list the run appended to.
+    """
+
+    def __init__(self, records: list[EqpaRecord] | None = None, fourier_calls: int = 0, sweeps: int = 0):
+        self._head: list[EqpaRecord] = [] if records is None else records
+        self._tail: _Tail | None = None
+        self.fourier_calls = fourier_calls  # each transform comes with one oracle pass, so this counts both
+        self.sweeps = sweeps
+
+    @property
+    def records(self) -> list[EqpaRecord]:
+        if self._tail is not None:
+            self._head.extend(self._tail.records())
+            self._tail = None
+        return self._head
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EqpaTrace):
+            return NotImplemented
+        return (self.records, self.fourier_calls, self.sweeps) == (other.records, other.fourier_calls, other.sweeps)
+
+    def __repr__(self) -> str:
+        return f"EqpaTrace(records={self.records!r}, fourier_calls={self.fourier_calls}, sweeps={self.sweeps})"
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +424,14 @@ class _Sampler:
         for j in js:
             yield self.sample(d, j, rng)
 
+    def settled(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
+        """(k, b, chi, good_mass) of the iterations ``js`` at d = r, for one pass.
+
+        No outcome at d = r updates d, so every draw is taken before this
+        returns; the outcomes may be mapped from the draws as they are read.
+        """
+        return list(self.outcomes(d, js, rng))
+
 
 class _BlockSampler(_Sampler):
     """Exact iteration in the invariant block basis |k>|G_k>|b>|mark>.
@@ -389,9 +447,10 @@ class _BlockSampler(_Sampler):
     At d = r the run is r' = 1: both outcomes (0, b) are bad with weight 4
     of N^3 = 8, so the draw U/2^53 picks k = floor(U*r/2^53)*step and b =
     bit 52 of U*r, with chi = 0 and good mass 0.  No update can follow, so
-    :meth:`outcomes` takes the draws of all requested iterations in one
+    :meth:`settled` takes the draws of all requested iterations in one
     ``rng.random(count)`` (the same values, and the same generator state
-    after, as ``count`` single draws) and maps them in that closed form.
+    after, as ``count`` single draws) and maps them in that closed form as
+    they are read.
     """
 
     def __init__(self, structure: _Structure):
@@ -423,12 +482,14 @@ class _BlockSampler(_Sampler):
         b = 0 if below * _TWO53 > target else 1
         return (q * rb + lo) * self.step, b, int(run.good(lo, b)), run.n_good / (2 * rb)
 
-    def outcomes(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
-        if d != self.r:
-            return super().outcomes(d, js, rng)
+    def settled(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
         step, r = self.step, self.r
-        xs = [int(u * _TWO53) * r for u in rng.random(len(js)).tolist()]
-        return [((x >> 53) * step, (x >> 52) & 1, 0, 0.0) for x in xs]
+
+        def outcome(u: float) -> tuple[int, int, int, float]:
+            x = int(u * _TWO53) * r
+            return (x >> 53) * step, (x >> 52) & 1, 0, 0.0
+
+        return map(outcome, rng.random(len(js)).tolist())
 
 
 class _ProgramSampler(_Sampler):
@@ -488,11 +549,12 @@ def eqpa(
     seed-independent; only the trace contents vary with the rng, which
     gives one draw to each iteration in order, whichever engine runs and
     however the sampler batches them.  ``on_iteration`` sees every record
-    as it is appended.  Raises :class:`PromiseViolation` if the promise
-    fails.  It is verified once, before either engine runs: from declared
-    ``residues`` without evaluating f (block engine only), or by
-    :func:`_analyze`.  The final check is then exact: d is a period iff
-    the verified period divides it.
+    in order; without it, the records of the settled tail (from d = r on)
+    are built only when ``trace.records`` is first read.  Raises
+    :class:`PromiseViolation` if the promise fails.  It is verified once,
+    before either engine runs: from declared ``residues`` without
+    evaluating f (block engine only), or by :func:`_analyze`.  The final
+    check is then exact: d is a period iff the verified period divides it.
     """
     m = f.modulus
     if engine == "block":
@@ -506,9 +568,10 @@ def eqpa(
 
     sweep = list(range(-1, m.bit_length()))  # j = -1..floor(log2 m), m >= 1
     trace = EqpaTrace()
-    d = 1
+    records = trace.records
+    d, r = 1, structure.period
     left = sweep  # the iterations still to run unless an outcome updates d
-    while left:
+    while left and d != r:
         outcomes = zip(left, sampler.outcomes(d, left, rng))
         left = []
         for j, (k, b, chi, mass) in outcomes:
@@ -519,7 +582,7 @@ def eqpa(
             d_after = math.lcm(d, m // math.gcd(m, k)) if informative else d
             record = EqpaRecord(trace.sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,
                                 informative, d_after, trace.fourier_calls)
-            trace.records.append(record)
+            records.append(record)
             if on_iteration is not None:
                 on_iteration(record)
             if informative:
@@ -527,6 +590,16 @@ def eqpa(
                 # full sweep to confirm d
                 d, left = d_after, sweep[j + 2:] + sweep
                 break
+    if left:  # d = r: the rest of the run is settled
+        tail = _Tail(trace.sweeps, trace.fourier_calls, d, left, sampler.settled(d, left, rng))
+        trace.sweeps += 1  # the tail holds one j = -1: the sweep that confirms d
+        trace.fourier_calls += 3 * len(left)
+        if on_iteration is None:
+            trace._tail = tail
+        else:
+            for record in tail.records():
+                records.append(record)
+                on_iteration(record)
 
     _final_check(f, d, structure.period)
     return d, trace

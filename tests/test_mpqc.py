@@ -1,6 +1,7 @@
 """Tests for the simulated multiparty protocols, transcripts, and the audit."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -8,13 +9,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperiod.factorint import encode_set
 from qperiod.mpqc import (
     _EQUALITY_EXEMPT,
     _joint_residue_function,
+    BROADCAST,
     KIND_HANDOFF,
     KIND_INT,
+    KIND_SHARE,
     ROLE_MASKED_MULTIPLE,
     ROLE_MODULUS,
     ROLE_RESULT,
@@ -24,9 +29,12 @@ from qperiod.mpqc import (
     ROLE_VOTE_TALLY,
     AuditReport,
     ProtocolError,
+    Transcript,
     TranscriptMessage,
+    _Vote,
     _mask_secret,
     _shares_from_masks,
+    additive_shares,
     divisibility_vote,
     gcd_protocol,
     lcm_protocol,
@@ -203,6 +211,17 @@ class TestDivisibilityVote:
             for masks in itertools.product(range(4), repeat=2):
                 shares = _shares_from_masks(vote, list(masks), 4)
                 assert sum(shares) % 4 == vote
+
+    def test_single_mask_draws_match_one_sized_draw(self):
+        # additive_shares draws its masks one at a time: the values and the
+        # generator's end state are those of one draw of size count - 1
+        for seed in range(50):
+            for count in range(1, 7):
+                modulus = count + 1
+                sized, single = np.random.default_rng(seed), np.random.default_rng(seed)
+                masks = sized.integers(0, modulus, size=count - 1).tolist()
+                assert additive_shares(1, count, modulus, single)[:-1] == masks
+                assert sized.bit_generator.state == single.bit_generator.state
 
     def test_each_share_position_equidistributed(self):
         # over all mask draws for a fixed vote, each share is uniform mod n+1
@@ -439,7 +458,8 @@ class ReferenceTranscript:
     ``log_pass`` is the old ``_Context.log_pass``, whose ``pass_no`` always
     equalled ``oracle_passes``; ``counters`` is the old
     ``ProtocolResult.counters``.  ``log_ring`` replays the old per-iteration
-    logging of an LCM run instead of its closed form.
+    logging of an LCM run instead of its closed form, and ``log_vote`` the
+    old per-message logging of a vote instead of its record.
     """
 
     def __init__(self) -> None:
@@ -490,6 +510,21 @@ class ReferenceTranscript:
             self.log_pass(n, "inverse")
             self.log_pass(n, "forward")
             self.fourier_calls += 3
+
+    def log_vote(self, layer: int, candidate: int, shares: list[list[int]], tallies: list[int], result: bool) -> None:
+        """Replays the old per-message logging of a divisibility vote."""
+
+        def log_value(sender, receiver, role, value, kind=KIND_INT):
+            self.log(kind, sender, receiver, {"role": role, "value": value, "layer": layer})
+
+        log_value(0, BROADCAST, ROLE_VOTE_CANDIDATE, candidate)
+        for i, row in enumerate(shares):
+            for j, share in enumerate(row):
+                if j != i:
+                    log_value(i, j, ROLE_VOTE_SHARE, share, kind=KIND_SHARE)
+        for j, tally in enumerate(tallies):
+            log_value(j, BROADCAST, ROLE_VOTE_TALLY, tally, kind=KIND_SHARE)
+        log_value(0, BROADCAST, ROLE_VOTE_RESULT, result)
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
@@ -673,3 +708,191 @@ def test_lcm_run_logs_its_ring_passes_as_one_record():
     assert res.transcript.verify_handoff_chain()
     res.transcript.log(KIND_HANDOFF, 1, 0, {"registers": ["t"], "pass": last, "direction": "forward"})
     assert not res.transcript.verify_handoff_chain()
+
+
+# ---------------------------------------------------------------------------
+# vote records, bulk audits and the settled EQPA tail against the per-message log
+
+
+def _sweep_case(kind, n_parties, seed):
+    """Random inputs for one run of the byte-identity sweep, and its audit's secrets."""
+    rng = np.random.default_rng(7919 * n_parties + seed)
+    if kind in ("lcm", "gcd"):
+        bits = int(rng.integers(2, 9))
+        inputs = [int(v) for v in rng.integers(1, 1 << bits, size=n_parties)]
+        return (inputs, bits), inputs
+    universe = 3 if n_parties == 5 else 4
+    sets = [set(rng.choice(universe, size=int(rng.integers(0, universe + 1)), replace=False).tolist())
+            for _ in range(n_parties)]
+    return (sets, universe), [encode_set(s) for s in sets]
+
+
+# The digest of the sweep below as the per-message log produced it, before
+# votes and EQPA's settled tail became records.
+_SWEEP_SHA256 = "c07deb985e2b625b0dcd23da4978937030eda05efd714543606e1a60c78cba3f"
+
+
+def test_seeded_sweep_is_byte_identical_to_the_per_message_log():
+    digest = hashlib.sha256()
+    runs = 0
+    for kind in sorted(_PROTOCOLS):
+        for n_parties in range(2, 6):
+            for seed in range(19):
+                args, secrets = _sweep_case(kind, n_parties, seed)
+                res = _PROTOCOLS[kind](*args, seed=seed)
+                output = sorted(res.output) if isinstance(res.output, frozenset) else res.output
+                audit = leakage_audit(res, secrets)
+                report = [audit.passed, list(audit.violations), audit.messages_checked]
+                digest.update(json.dumps([output, res.party_views, res.counters, report], default=sorted).encode())
+                digest.update(res.transcript.to_jsonl().encode())
+                runs += 1
+    assert runs == 304
+    assert digest.hexdigest() == _SWEEP_SHA256
+
+
+def _first_vote():
+    """A 3-party GCD run, its secrets, and the index in its log of its first vote record."""
+    secrets = [245, 175, 35]
+    res = gcd_protocol(secrets, 8, seed=4)
+    at = next(i for i, entry in enumerate(res.transcript._log) if isinstance(entry, _Vote))
+    return res, secrets, at
+
+
+def test_out_of_range_vote_share_is_reported_as_the_per_message_audit_reports_it():
+    res, secrets, at = _first_vote()
+    vote = res.transcript._log[at]
+    shares = [list(row) for row in vote.shares]
+    shares[1][0] += len(secrets) + 1  # out of range, with the same column sum mod n+1
+    res.transcript._log[at] = vote._replace(shares=shares)
+
+    report = leakage_audit(res, secrets)
+    assert not report.passed
+    assert report == reference_leakage_audit(res, secrets)
+    (violation,) = report.violations
+    idx = int(violation.split(":")[0].removeprefix("message "))
+    assert violation == f"message {idx}: share {shares[1][0]} outside the masking group"
+    assert res.transcript.messages[idx].payload["value"] == shares[1][0]
+    assert (res.transcript.messages[idx].sender, res.transcript.messages[idx].receiver) == (1, 0)
+
+
+def test_vote_candidate_below_two_is_reported_as_the_per_message_audit_reports_it():
+    res, secrets, at = _first_vote()
+    res.transcript._log[at] = res.transcript._log[at]._replace(candidate=1)
+    report = leakage_audit(res, secrets)
+    assert not report.passed and report == reference_leakage_audit(res, secrets)
+    assert [v.split(": ", 1)[1] for v in report.violations] == ["malformed vote candidate 1"]
+
+
+def test_vote_tally_that_is_not_its_column_sum_is_a_violation():
+    res, secrets, at = _first_vote()
+    vote = res.transcript._log[at]
+    modulus = len(secrets) + 1
+    tallies = list(vote.tallies)
+    tallies[0], tallies[1] = (tallies[0] + 1) % modulus, (tallies[1] - 1) % modulus  # same total
+    res.transcript._log[at] = vote._replace(tallies=tallies)
+    report = leakage_audit(res, secrets)
+    assert reference_leakage_audit(res, secrets).passed  # each message alone is well formed
+    assert not report.passed
+    (violation,) = report.violations
+    assert "are not the column sums of the shares" in violation
+    idx = int(violation.split(":")[0].removeprefix("message "))
+    assert res.transcript.messages[idx].payload["role"] == ROLE_VOTE_TALLY
+
+
+def test_vote_result_that_contradicts_its_tallies_is_a_violation():
+    res, secrets, at = _first_vote()
+    vote = res.transcript._log[at]
+    res.transcript._log[at] = vote._replace(result=not vote.result)
+    report = leakage_audit(res, secrets)
+    assert reference_leakage_audit(res, secrets).passed
+    (violation,) = report.violations
+    assert f"vote result {not vote.result} contradicts the tallies" in violation
+    idx = int(violation.split(":")[0].removeprefix("message "))
+    assert res.transcript.messages[idx].payload["role"] == ROLE_VOTE_RESULT
+    assert report.messages_checked == reference_leakage_audit(res, secrets).messages_checked
+
+
+def test_gcd_run_logs_each_vote_as_one_record():
+    res, secrets, _ = _first_vote()
+    votes = [entry for entry in res.transcript._log if isinstance(entry, _Vote)]
+    vote_messages = [m for m in res.transcript.messages if str(m.payload.get("role", "")).startswith("vote-")]
+    assert votes and len(vote_messages) == len(votes) * (len(secrets) ** 2 + 2)
+    assert [v.result for v in votes] == [m.payload["value"] for m in vote_messages
+                                         if m.payload["role"] == ROLE_VOTE_RESULT]
+
+
+@st.composite
+def _rings_and_handoffs(draw):
+    """Ring records of n parties with classical messages between them, and
+    handoffs placed before a ring or after the last, on passes inside a
+    ring's span, at its edges or past every ring."""
+    n = draw(st.integers(2, 4))
+    rings = draw(st.lists(st.integers(1, 3).map(lambda k: 3 * k), min_size=1, max_size=3))  # 3 per iteration
+    starts = list(itertools.accumulate([1] + rings))  # each ring's first pass, then one past the last
+    edges = sorted({0, *starts, *(s - 1 for s in starts[1:]), starts[-1] + 1})
+    passes = st.one_of(st.sampled_from(edges), st.integers(1, starts[-1] - 1))
+    party = st.integers(0, n - 1)
+    handoffs = draw(st.lists(st.tuples(st.integers(0, len(rings)), passes, party, party), max_size=6))
+    return n, rings, handoffs
+
+
+def test_ring_check_agrees_with_the_per_hop_walk():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_rings_and_handoffs())
+    def check(case):
+        n, rings, handoffs = case
+        transcripts = Transcript(), ReferenceTranscript()
+        for t in transcripts:
+            for position in range(len(rings) + 1):
+                for at, p, sender, receiver in handoffs:
+                    if at == position:
+                        t.log(KIND_HANDOFF, sender, receiver, {"registers": ["t"], "pass": p, "direction": "forward"})
+                if position < len(rings):
+                    t.log(KIND_INT, 0, BROADCAST, {"role": ROLE_MODULUS, "value": 12, "layer": position})
+                    t.log_ring(n, rings[position])
+        ours, ref = transcripts
+        assert ours.to_jsonl() == ref.to_jsonl()
+        verdict = ours.verify_handoff_chain()
+        assert verdict == ref.verify_handoff_chain()
+        seen.add(verdict)
+        if any(at < len(rings) and 1 + sum(rings[:at]) <= p <= sum(rings) for at, p, _, _ in handoffs):
+            seen.add("a handoff before a ring on its span")
+
+    check()
+    assert seen == {True, False, "a handoff before a ring on its span"}
+
+
+def test_lcm_run_builds_no_records_for_its_settled_tail(monkeypatch):
+    import qperiod.mpqc as mpqc_mod
+    import qperiod.periodfind as periodfind_mod
+
+    built = []
+
+    class CountingRecord(periodfind_mod.EqpaRecord):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    runs = []
+
+    def spy(*args, **kwargs):
+        period, trace = eqpa(*args, **kwargs)
+        runs.append((trace, len(built)))
+        return period, trace
+
+    monkeypatch.setattr(periodfind_mod, "EqpaRecord", CountingRecord)
+    monkeypatch.setattr(mpqc_mod, "eqpa", spy)
+    for secrets, bits in (([1, 1], 2), ([4, 6, 10], 5), ([4093, 4091], 12), ([3, 5, 7, 8], 4)):
+        built.clear()
+        runs.clear()
+        res = lcm_protocol(secrets, bits, seed=3)
+        assert res.output == math.lcm(*secrets)
+        ((trace, built_in_run),) = runs
+        records = trace.records
+        head = next((i + 1 for i in reversed(range(len(records))) if records[i].updated), 0)
+        assert built_in_run == head < len(records)
+        assert len(records) * 3 == trace.fourier_calls == res.counters["fourier_calls"]

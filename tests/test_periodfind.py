@@ -957,6 +957,29 @@ def test_settled_tail_matches_per_iteration_loop():
     assert seen == {"r = 1", "d = r at the last j", "m > 2^32"}
 
 
+@pytest.mark.parametrize("engine", ["block", "program"])
+def test_settled_tail_is_expanded_once_into_the_hooked_records(engine):
+    for r, m, seed in [(1, 8, 0), (6, 48, 3), (12, 48, 1), (5, 40, 2), (16, 64, 7)]:
+        f = PeriodicFunction.modular(r, m)
+        seen = []
+        _, hooked = eqpa(f, np.random.default_rng(seed), engine=engine, on_iteration=seen.append)
+        rng = np.random.default_rng(seed)
+        _, lazy = eqpa(f, rng, engine=engine)
+        ref_rng = np.random.default_rng(seed)
+        _, ref = _per_iteration_eqpa(f, ref_rng)
+        assert lazy._tail is not None and hooked._tail is None
+        first = lazy.records
+        assert lazy._tail is None
+        assert first == lazy.records == seen == hooked.records
+        assert (lazy.fourier_calls, lazy.sweeps) == (hooked.fourier_calls, hooked.sweeps) == (ref.fourier_calls, ref.sweeps)
+        assert rng.random() == ref_rng.random()
+        for a, b in zip(first, ref.records, strict=True):
+            assert a._replace(good_mass=0.0) == b._replace(good_mass=0.0)
+            assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
+        if engine == "block":
+            assert first == ref.records
+
+
 # ---------------------------------------------------------------------------
 # one promise check before the run, against the earlier two-check design
 
