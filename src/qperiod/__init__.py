@@ -45,7 +45,6 @@ from .factorint import (
     encode_set,
     factorize,
     order_find,
-    order_find_exact,
     prime_encode,
 )
 from .mpqc import (

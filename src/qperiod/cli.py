@@ -133,19 +133,16 @@ def _run_protocol(args):
             raise ValueError("--inputs and --bits are required")
         secrets = _parse_ints(args.inputs)
         fn = mpqc.lcm_protocol if args.protocol == "lcm" else mpqc.gcd_protocol
-        result = fn(secrets, args.bits, seed=args.seed)
-        return result, {"inputs": secrets, "bits": args.bits}, secrets
+        return fn(secrets, args.bits, seed=args.seed), {"inputs": secrets, "bits": args.bits}
     if args.sets is None or args.universe is None:
         raise ValueError("--sets and --universe are required")
     sets = _parse_sets(args.sets)
     fn = mpqc.psu_protocol if args.protocol == "psu" else mpqc.psi_protocol
-    result = fn(sets, args.universe, seed=args.seed)
-    audit_basis = [factorint.encode_set(s) for s in sets]
-    return result, {"sets": [sorted(s) for s in sets], "universe": args.universe}, audit_basis
+    return fn(sets, args.universe, seed=args.seed), {"sets": [sorted(s) for s in sets], "universe": args.universe}
 
 
 def _protocol(args):
-    result, inputs, _ = _run_protocol(args)
+    result, inputs = _run_protocol(args)
     if args.transcript:
         with open(args.transcript, "w") as fh:
             fh.write(result.transcript.to_jsonl())
@@ -154,8 +151,9 @@ def _protocol(args):
 
 
 def _audit(args):
-    result, inputs, basis = _run_protocol(args)
-    report = mpqc.leakage_audit(result, basis)
+    result, inputs = _run_protocol(args)
+    # the run's top-layer inputs: the secrets, or the set encodings
+    report = mpqc.leakage_audit(result, result.layer_inputs[0][1])
     output = {
         "protocol": args.protocol,
         "passed": report.passed,

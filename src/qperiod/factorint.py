@@ -2,14 +2,11 @@
 
 Factoring reduces to order finding: for random a coprime to N, the order r
 of a mod N is even with good probability, and gcd(a^{r/2} - 1, N) then
-splits N.  Order finding itself is simulated two ways:
-
-* :func:`order_find` runs the standard probabilistic pipeline: the exact
-  closed-form index marginal of Fourier sampling over Z_{2^t}, 2^t >= N^2
-  (the literal program is the tests' reference), continued-fraction
-  recovery of the denominator, candidate repair, classical verification.
-* :func:`order_find_exact` runs the exact period finder, which needs a known
-  multiple of the order and then returns it deterministically.
+splits N.  :func:`order_find` simulates order finding with the standard
+probabilistic pipeline: the exact closed-form index marginal of Fourier
+sampling over Z_{2^t}, 2^t >= N^2 (the literal program is the tests'
+reference), continued-fraction recovery of the denominator, candidate
+repair, classical verification.
 
 Sets over a finite universe encode as products of primes (element u maps to
 the (u+1)-th prime), which turns union into lcm and intersection into gcd;
@@ -27,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .periodfind import _MAX_PERIOD, PeriodicFunction, eqpa
+from .periodfind import _MAX_PERIOD
 
 # Deterministic Miller-Rabin witnesses, valid far beyond desk scale.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -252,34 +249,6 @@ def order_find(a: int, N: int, rng: np.random.Generator) -> int:
             if candidate >= 1 and pow(a, candidate, N) == 1:
                 return _order_from_multiple(a, N, candidate)
     raise RuntimeError("order finding did not converge")  # pragma: no cover
-
-
-def order_find_exact(a: int, N: int, multiple: int, rng: np.random.Generator | None = None) -> int:
-    """Exact order of a mod N from a known multiple, via the exact period finder.
-
-    Deterministic: the result does not depend on the rng.  Raises if the
-    supplied value is not actually a multiple of the order (promise failure),
-    and raises :class:`ValueError` for N past 2^63, whose residues do not
-    fit the evaluator's int64 values.
-    """
-    if N < 2:
-        raise ValueError("modulus must be >= 2")
-    a %= N
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"{a} is not coprime to {N}")
-    if multiple < 1:
-        raise ValueError("multiple must be positive")
-    if N > 1 << 63:
-        raise ValueError(f"modulus {N} exceeds 2^63: its residues must fit int64")
-
-    def evaluate(xs):
-        flat = np.asarray(xs, dtype=np.int64).ravel()
-        out = np.fromiter((pow(a, int(x), N) for x in flat), dtype=np.int64, count=flat.size)
-        return out.reshape(np.shape(xs))
-
-    f = PeriodicFunction(modulus=multiple, evaluator=evaluate)
-    order, _ = eqpa(f, rng if rng is not None else np.random.default_rng(0))
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,8 @@ class Transcript:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
 
     def verify_handoff_chain(self) -> bool:
-        """Each handoff pass must be a connected ring walk.
+        """Each handoff pass must be a connected ring walk, and each handoff
+        must name its pass with an int.
 
         A ring record's passes each walk from party 0 back to party 0, and
         its passes are contiguous, so it is checked against the handoff
@@ -207,7 +208,9 @@ class Transcript:
                         last_by_pass[p] = 0
                 rings.append(span)
             elif isinstance(entry, TranscriptMessage) and entry.kind == KIND_HANDOFF:
-                p, sender = entry.payload["pass"], entry.sender
+                p, sender = entry.payload.get("pass"), entry.sender
+                if type(p) is not int:  # a bool is no pass number either
+                    return False
                 last = last_by_pass.get(p, 0 if any(p in span for span in rings) else sender)
                 if last != sender:
                     return False
@@ -233,20 +236,11 @@ class ProtocolResult:
         return self.transcript.counters
 
 
-@dataclass
-class Party:
-    """One protocol participant: identity and local randomness."""
-
-    id: int
-    rng: np.random.Generator
-
-
 class _Context:
-    """Shared run state: parties, transcript, and the protocol layer stack."""
+    """Shared run state: party generators (party i's at index i), transcript, layer stack."""
 
     def __init__(self, n: int, seed: int):
-        seqs = np.random.SeedSequence(seed).spawn(n)
-        self.parties = [Party(i, np.random.default_rng(q)) for i, q in enumerate(seqs)]
+        self.rngs = [np.random.default_rng(q) for q in np.random.SeedSequence(seed).spawn(n)]
         self.transcript = Transcript()
         self.layers: list[tuple[str, tuple[int, ...]]] = []
 
@@ -270,7 +264,7 @@ def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
     # n parties each party sends n - 1 shares and a tally and receives n - 1
     # shares, and party 0 also broadcasts the candidate and the result.
     passes = ctx.transcript.oracle_passes
-    sent = dict.fromkeys(range(len(ctx.parties)), passes)
+    sent = dict.fromkeys(range(len(ctx.rngs)), passes)
     received = dict(sent)
     for entry in ctx.transcript._log:
         if isinstance(entry, TranscriptMessage):
@@ -282,7 +276,7 @@ def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
                 sent[i] += n
                 received[i] += n - 1
             sent[0] += 2
-    return tuple({"party": p.id, "sent": sent[p.id], "received": received[p.id], "output": output} for p in ctx.parties)
+    return tuple({"party": i, "sent": sent[i], "received": received[i], "output": output} for i in range(len(ctx.rngs)))
 
 
 def _publish(ctx: _Context, layer: int, output):
@@ -356,9 +350,9 @@ def _lcm(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     layer = ctx.push_layer("lcm", secrets)
 
     # step 1: every party sends its masked multiple to the coordinator
-    ys = [_mask_secret(x, m_bits, party.rng) for party, x in zip(ctx.parties, secrets)]
-    for party, y in zip(ctx.parties[1:], ys[1:]):
-        ctx.log_value(party.id, 0, ROLE_MASKED_MULTIPLE, y, layer)
+    ys = [_mask_secret(x, m_bits, rng) for rng, x in zip(ctx.rngs, secrets)]
+    for i in range(1, len(ys)):
+        ctx.log_value(i, 0, ROLE_MASKED_MULTIPLE, ys[i], layer)
 
     # step 2: coordinator broadcasts the public modulus
     k = math.prod(ys)
@@ -368,7 +362,7 @@ def _lcm(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     # function.  The prep pass's uncompute check needs no branch: t holds an
     # exact copy of h, so it reads 0 in every honest run.  From the prep pass
     # on, each A, A^{-1} and A walks the ring once: one pass per Fourier call.
-    result, trace = eqpa(_joint_residue_function(secrets, k), ctx.parties[0].rng)
+    result, trace = eqpa(_joint_residue_function(secrets, k), ctx.rngs[0])
     ctx.transcript.log_ring(len(secrets), trace.fourier_calls)
     return _publish(ctx, layer, result)
 
@@ -411,8 +405,8 @@ def divisibility_vote(secrets: Sequence[int], candidate: int, rng: np.random.Gen
 def _vote(ctx: _Context, secrets: Sequence[int], candidate: int, layer: int) -> bool:
     modulus = len(secrets) + 1
     # share matrix: row i = party i's shares of its own no-vote
-    shares = [additive_shares(0 if x % candidate == 0 else 1, len(secrets), modulus, party.rng)
-              for party, x in zip(ctx.parties, secrets)]
+    shares = [additive_shares(0 if x % candidate == 0 else 1, len(secrets), modulus, rng)
+              for rng, x in zip(ctx.rngs, secrets)]
     tallies = [sum(column) % modulus for column in zip(*shares)]
     result = sum(tallies) % modulus == 0
     ctx.transcript.log_vote(layer, candidate, shares, tallies, result)
@@ -464,7 +458,7 @@ def _gcd(ctx: _Context, secrets: Sequence[int], m_bits: int) -> int:
     layer = ctx.push_layer("gcd", secrets)
 
     # step 1: each party factors its input locally and keeps its radical (no messages)
-    radicals = [math.prod(set(factorize(x, party.rng).factors)) for party, x in zip(ctx.parties, secrets)]
+    radicals = [math.prod(set(factorize(x, rng).factors)) for rng, x in zip(ctx.rngs, secrets)]
 
     # step 2: private union of the prime sets: the joint LCM of the radicals,
     # published as its primes
@@ -589,11 +583,11 @@ def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
             violations.append(f"message {idx}: masked multiple from unknown sender")
         else:
             x = inputs[msg.sender]
-            if value % x != 0 or value <= x:
-                violations.append(f"message {idx}: value {value} is not a masked multiple of the sender's input")
+            if type(value) is not int or value % x != 0 or value <= x:
+                violations.append(f"message {idx}: value {value!r} is not a masked multiple of the sender's input")
     elif role == ROLE_MODULUS:
-        if any(value % x != 0 for x in inputs):
-            violations.append(f"message {idx}: modulus {value} not divisible by every input")
+        if type(value) is not int or any(value % x != 0 for x in inputs):
+            violations.append(f"message {idx}: modulus {value!r} not divisible by every input")
     elif role == ROLE_RESULT:
         pass  # protocol outputs are public by definition
     elif role == ROLE_VOTE_CANDIDATE:

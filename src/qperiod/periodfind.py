@@ -30,8 +30,9 @@ Once d = r no outcome can update d, so the rest of the run is known in
 advance; the block engine then takes all of its draws in one
 ``rng.random(count)``, which yields the same values and leaves the
 generator in the same state as ``count`` single draws.  Either engine keeps
-that settled tail as one record of its outcomes, and builds its
-per-iteration records only when the trace's ``records`` are read.
+that settled tail in the :class:`EqpaTrace` as one tuple of its outcomes,
+which the first read of the trace's ``records`` expands into per-iteration
+records; an ``on_iteration`` callback is fed the tail from that read.
 """
 
 from __future__ import annotations
@@ -270,53 +271,33 @@ class EqpaRecord(NamedTuple):
         return self._asdict()
 
 
-class _Tail(NamedTuple):
-    """The settled iterations of an EQPA run, stored in place of their records.
-
-    From d = r on no outcome updates d, so each iteration's record follows
-    from its j and its sampled (k, b, chi, good_mass) alone.  The outcomes
-    may be a one-pass iterable, so :meth:`records` is called once: by
-    :func:`eqpa` when it has an ``on_iteration`` callback, else by the
-    trace, which keeps the result.
-    """
-
-    sweeps: int  # the sweep count before the tail
-    fourier_calls: int  # the Fourier count before the tail
-    d: int
-    js: list[int]
-    outcomes: Iterable[tuple[int, int, int, float]]  # from the sampler's ``settled``, read once
-
-    def records(self) -> list[EqpaRecord]:
-        out = []
-        sweeps, calls, d = self.sweeps, self.fourier_calls, self.d
-        for j, (k, b, chi, mass) in zip(self.js, self.outcomes):
-            sweeps += j == -1
-            calls += 3
-            out.append(EqpaRecord(sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL, False, d, calls))
-        return out
-
-
 class EqpaTrace:
     """Per-iteration log of one exact period-finding run.
 
-    The settled tail of a run (every iteration from d = r on) is one
-    :class:`_Tail`, expanded into records on the first read of
-    ``records``, which keeps the result.  Without a tail, ``records`` is
-    the list the run appended to.
+    The settled tail of a run (every iteration from d = r on) is kept as
+    one private tuple: the sweep and Fourier counts before it, d, its js
+    and the sampler's ``settled`` outcomes, which may be read only once.
+    No outcome there updates d, so the first read of ``records`` builds
+    the tail's records from those alone and keeps them.
     """
 
-    def __init__(self, records: list[EqpaRecord] | None = None, fourier_calls: int = 0, sweeps: int = 0):
-        self._head: list[EqpaRecord] = [] if records is None else records
-        self._tail: _Tail | None = None
-        self.fourier_calls = fourier_calls  # each transform comes with one oracle pass, so this counts both
-        self.sweeps = sweeps
+    def __init__(self) -> None:
+        self._records: list[EqpaRecord] = []
+        self._tail: tuple | None = None  # (sweeps, fourier_calls, d, js, outcomes)
+        self.fourier_calls = 0  # each transform comes with one oracle pass, so this counts both
+        self.sweeps = 0
 
     @property
     def records(self) -> list[EqpaRecord]:
         if self._tail is not None:
-            self._head.extend(self._tail.records())
+            sweeps, calls, d, js, outcomes = self._tail
             self._tail = None
-        return self._head
+            for j, (k, b, chi, mass) in zip(js, outcomes):
+                sweeps += j == -1
+                calls += 3
+                self._records.append(EqpaRecord(sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,
+                                                False, d, calls))
+        return self._records
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EqpaTrace):
@@ -328,7 +309,9 @@ class EqpaTrace:
 
 
 # ---------------------------------------------------------------------------
-# samplers: one boosted-and-measured iteration each
+# samplers: one boosted-and-measured iteration per ``sample(d, j, rng)``
+# call, one rng draw each; ``settled(d, js, rng)`` gives the outcomes of the
+# iterations js at d = r, with every draw taken before it returns
 
 
 _TWO53 = 1 << 53  # numpy's doubles from rng.random() are U / 2^53 for an integer U < 2^53
@@ -410,30 +393,7 @@ class _Run:
         return self.w_good * count + self.w_bad * (2 * t - count)
 
 
-class _Sampler:
-    """One boosted-and-measured iteration per ``sample(d, j, rng)`` call,
-    one rng draw each."""
-
-    def outcomes(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
-        """(k, b, chi, good_mass) of the iterations ``js`` at divisor d.
-
-        Each draw is taken when its outcome is asked for, so a caller that
-        stops after an update leaves the rng where a loop of :meth:`sample`
-        calls would.
-        """
-        for j in js:
-            yield self.sample(d, j, rng)
-
-    def settled(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
-        """(k, b, chi, good_mass) of the iterations ``js`` at d = r, for one pass.
-
-        No outcome at d = r updates d, so every draw is taken before this
-        returns; the outcomes may be mapped from the draws as they are read.
-        """
-        return list(self.outcomes(d, js, rng))
-
-
-class _BlockSampler(_Sampler):
+class _BlockSampler:
     """Exact iteration in the invariant block basis |k>|G_k>|b>|mark>.
 
     The prepared state is uniform over 2r blocks (r support indices times
@@ -492,7 +452,7 @@ class _BlockSampler(_Sampler):
         return map(outcome, rng.random(len(js)).tolist())
 
 
-class _ProgramSampler(_Sampler):
+class _ProgramSampler:
     """Literal iteration: the marked program, one boost, one measurement.
 
     The value register has dimension m, so f is loaded as the rank of its
@@ -532,6 +492,9 @@ class _ProgramSampler(_Sampler):
         k, b, chi = outcomes[_walk(cumulative, rng)]
         return k, b, chi, mass_before
 
+    def settled(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
+        return [self.sample(d, j, rng) for j in js]
+
 
 # ---------------------------------------------------------------------------
 # the algorithms
@@ -559,7 +522,7 @@ def eqpa(
     m = f.modulus
     if engine == "block":
         structure = _structure(f)
-        sampler: _Sampler = _BlockSampler(structure)
+        sampler: _BlockSampler | _ProgramSampler = _BlockSampler(structure)
     elif engine == "program":
         structure = _analyze(f)  # the literal oracle needs the sorted values
         sampler = _ProgramSampler(f, structure)
@@ -572,9 +535,9 @@ def eqpa(
     d, r = 1, structure.period
     left = sweep  # the iterations still to run unless an outcome updates d
     while left and d != r:
-        outcomes = zip(left, sampler.outcomes(d, left, rng))
-        left = []
-        for j, (k, b, chi, mass) in outcomes:
+        todo, left = left, []
+        for j in todo:
+            k, b, chi, mass = sampler.sample(d, j, rng)
             if j == -1:
                 trace.sweeps += 1
             trace.fourier_calls += 3  # A, A^{-1}, A each carry one transform
@@ -590,16 +553,14 @@ def eqpa(
                 # full sweep to confirm d
                 d, left = d_after, sweep[j + 2:] + sweep
                 break
+    head = len(records)
     if left:  # d = r: the rest of the run is settled
-        tail = _Tail(trace.sweeps, trace.fourier_calls, d, left, sampler.settled(d, left, rng))
+        trace._tail = (trace.sweeps, trace.fourier_calls, d, left, sampler.settled(d, left, rng))
         trace.sweeps += 1  # the tail holds one j = -1: the sweep that confirms d
         trace.fourier_calls += 3 * len(left)
-        if on_iteration is None:
-            trace._tail = tail
-        else:
-            for record in tail.records():
-                records.append(record)
-                on_iteration(record)
+    if on_iteration is not None:
+        for record in trace.records[head:]:
+            on_iteration(record)
 
     _final_check(f, d, structure.period)
     return d, trace

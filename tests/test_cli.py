@@ -177,22 +177,33 @@ class TestAuditCommand:
         code, _, _ = run_cli(capsys, "audit", "--protocol", "lcm")
         assert code == 2
 
-    def test_failed_audit_exits_three(self, monkeypatch, capsys):
+    # each case plants party 1's raw top-layer input on the wire: the secret 6,
+    # or 35 = 5 * 7, the encoding of the set {2, 3}
+    @pytest.mark.parametrize(
+        "protocol, argv, planted",
+        [
+            ("lcm", ("--inputs", "4,6", "--bits", "5"), 6),
+            ("psu", ("--sets", "1,2;2,3", "--universe", "4"), 35),
+            ("psi", ("--sets", "1,2;2,3", "--universe", "4"), 35),
+        ],
+        ids=["lcm", "psu", "psi"],
+    )
+    def test_failed_audit_exits_three(self, monkeypatch, capsys, protocol, argv, planted):
         import qperiod.mpqc as mpqc_mod
 
-        honest = mpqc_mod.lcm_protocol
+        honest = getattr(mpqc_mod, f"{protocol}_protocol")
 
-        def leaky(secrets, m_bits, seed=0):
-            result = honest(secrets, m_bits, seed=seed)
-            result.transcript.log(mpqc_mod.KIND_INT, 1, 0, {"role": "debug", "value": secrets[1]})
+        def leaky(*args, **kwargs):
+            result = honest(*args, **kwargs)
+            result.transcript.log(mpqc_mod.KIND_INT, 1, 0, {"role": "debug", "value": planted})
             return result
 
-        monkeypatch.setattr(mpqc_mod, "lcm_protocol", leaky)
-        code, out, _ = run_cli(capsys, "audit", "--protocol", "lcm", "--inputs", "4,6", "--bits", "5")
+        monkeypatch.setattr(mpqc_mod, f"{protocol}_protocol", leaky)
+        code, out, _ = run_cli(capsys, "audit", "--protocol", protocol, *argv)
         assert code == 3
         report = json.loads(out)["output"]
         assert report["passed"] is False
-        assert any("raw secret value 6" in v for v in report["violations"])
+        assert any(f"raw secret value {planted}" in v for v in report["violations"])
 
 
 class TestBench:

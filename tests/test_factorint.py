@@ -30,13 +30,12 @@ from qperiod.factorint import (
     is_prime,
     nth_prime,
     order_find,
-    order_find_exact,
     prime_encode,
     prime_index,
     primes_below,
 )
 from qperiod import factorint
-from qperiod.periodfind import PeriodicFunction, PromiseViolation, fourier_sampling_program
+from qperiod.periodfind import PeriodicFunction, fourier_sampling_program
 
 
 def brute_force_order(a, N):
@@ -199,31 +198,6 @@ class TestOrderFind:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
-
-
-class TestOrderFindExact:
-    @pytest.mark.parametrize("a,N,multiple,expected", [(2, 15, 4, 4), (7, 15, 12, 4), (1, 15, 6, 1)])
-    def test_examples(self, a, N, multiple, expected):
-        assert order_find_exact(a, N, multiple) == expected
-        assert expected == brute_force_order(a, N)
-
-    def test_seed_independent(self):
-        outs = {order_find_exact(2, 21, 12, np.random.default_rng(s)) for s in range(10)}
-        assert outs == {brute_force_order(2, 21)}
-
-    def test_non_multiple_raises(self):
-        # order of 2 mod 15 is 4, which does not divide 6
-        with pytest.raises(PromiseViolation):
-            order_find_exact(2, 15, 6)
-
-    def test_modulus_up_to_two_to_the_63(self):
-        # every residue below 2^63 fits int64; both bases square to 1
-        assert order_find_exact(2**63 - 1, 2**63, 4) == 2
-        assert order_find_exact(2**62 + 1, 2**63, 4) == 2
-
-    def test_modulus_past_two_to_the_63_is_a_value_error(self):
-        with pytest.raises(ValueError, match=r"modulus 18446744073709551629 exceeds 2\^63"):
-            order_find_exact(3, 2**64 + 13, 1 << 20)
 
 
 class TestShorFactor:

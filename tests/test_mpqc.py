@@ -543,16 +543,16 @@ class ReferenceTranscript:
 
 
 def reference_party_views(ctx, output) -> tuple[dict, ...]:
-    sent = {p.id: 0 for p in ctx.parties}
-    received = {p.id: 0 for p in ctx.parties}
+    sent = dict.fromkeys(range(len(ctx.rngs)), 0)
+    received = dict.fromkeys(range(len(ctx.rngs)), 0)
     for m in ctx.transcript.messages:
         if isinstance(m.sender, int):
             sent[m.sender] = sent.get(m.sender, 0) + 1
         if isinstance(m.receiver, int):
             received[m.receiver] = received.get(m.receiver, 0) + 1
     return tuple(
-        {"party": p.id, "sent": sent[p.id], "received": received[p.id], "output": output}
-        for p in ctx.parties
+        {"party": i, "sent": sent[i], "received": received[i], "output": output}
+        for i in range(len(ctx.rngs))
     )
 
 
@@ -690,6 +690,35 @@ def test_injected_ring_breaking_handoff_is_caught():
     assert report.violations == ("register handoffs do not form connected ring passes",)
     assert report.messages_checked == honest.messages_checked
     assert res.transcript.messages[-1].kind == KIND_HANDOFF
+
+
+# A well-formed message of each checked field, appended to lcm_protocol([4, 6], 5):
+# a pass-1 hop that leaves party 0, and 48, a masked multiple of party 1's 6 and
+# a multiple of both inputs
+_WELL_FORMED = {
+    "pass": (KIND_HANDOFF, 0, 1, {"registers": ["t"], "pass": 1, "direction": "forward"}),
+    ROLE_MASKED_MULTIPLE: (KIND_INT, 1, 0, {"role": ROLE_MASKED_MULTIPLE, "value": 48, "layer": 0}),
+    ROLE_MODULUS: (KIND_INT, 0, BROADCAST, {"role": ROLE_MODULUS, "value": 48, "layer": 0}),
+}
+_MISSING = object()
+
+
+@pytest.mark.parametrize("value", [_MISSING, None, "48", 48.0, True], ids=["missing", "None", "str", "float", "bool"])
+@pytest.mark.parametrize("field", sorted(_WELL_FORMED))
+def test_non_int_field_is_a_violation_not_an_exception(field, value):
+    kind, sender, receiver, payload = _WELL_FORMED[field]
+    key = "pass" if kind == KIND_HANDOFF else "value"
+    for v, well_formed in ((payload[key], True), (value, False)):
+        res = lcm_protocol([4, 6], 5, seed=0)
+        res.transcript.log(kind, sender, receiver, {k: x for k, x in {**payload, key: v}.items() if x is not _MISSING})
+        report = leakage_audit(res, [4, 6])
+        assert report.passed == well_formed
+    if kind == KIND_HANDOFF:
+        assert not res.transcript.verify_handoff_chain()
+        assert report.violations == ("register handoffs do not form connected ring passes",)
+    else:
+        (violation,) = report.violations
+        assert violation.startswith(f"message {len(res.transcript.messages) - 1}: ")
 
 
 def test_lcm_run_logs_its_ring_passes_as_one_record():

@@ -632,7 +632,7 @@ def test_program_engine_leaves_numpy_ma_unimported():
 # the program sampler's per-run cache
 
 
-class _FreshBoostSampler(periodfind._Sampler):
+class _FreshBoostSampler(periodfind._ProgramSampler):
     """Reference program sampler: a fresh marked program, boost and joint
     measurement on every iteration, repeats of (d, j) included."""
 
