@@ -579,7 +579,7 @@ def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
     n = len(inputs)
 
     if role == ROLE_MASKED_MULTIPLE:
-        if not isinstance(msg.sender, int) or msg.sender >= n:
+        if type(msg.sender) is not int or not 0 <= msg.sender < n:
             violations.append(f"message {idx}: masked multiple from unknown sender")
         else:
             x = inputs[msg.sender]

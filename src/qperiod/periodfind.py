@@ -62,8 +62,8 @@ from .qstate import (
 MASS_TOL = 1e-9
 
 # Largest period _analyze scans for (its scan, the values it keeps and its
-# sort grow with the period; declared functions are never scanned), and the
-# cap of factorint's prime sieve.
+# residue table grow with the period; declared functions are never
+# scanned), and the cap of factorint's prime sieve.
 _MAX_PERIOD = 1 << 24
 
 
@@ -112,52 +112,68 @@ class PeriodicFunction:
         return cls(modulus=len(table), evaluator=lambda x: table[x], table=table)
 
 
-@dataclass(frozen=True)
 class _Structure:
     """Verified orbit structure of a promise-satisfying function.
 
-    ``values`` holds the r in-period values of f, sorted.
+    ``values``, the r in-period values of f sorted, is given sorted or
+    built on its first read from the in-period ``chunks`` that
+    :func:`_analyze` scanned; only the program engine's rank oracle reads
+    it, so the block engine never sorts them.
     """
 
-    modulus: int
-    period: int
-    values: np.ndarray | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("modulus", "period", "_values", "_chunks")
+
+    def __init__(self, modulus: int, period: int, values: np.ndarray | None = None,
+                 chunks: Sequence[np.ndarray] = ()):
+        self.modulus, self.period = modulus, period
+        self._values, self._chunks = values, chunks
+
+    @property
+    def values(self) -> np.ndarray | None:
+        if self._values is None and self._chunks:
+            self._values = np.sort(np.concatenate(self._chunks))
+            self._chunks = ()
+        return self._values
+
+
+_CHUNK = 4096  # points per evaluator call of _analyze's scan
 
 
 def _analyze(f: PeriodicFunction) -> _Structure:
     """Detect the exact period of ``f`` and verify the promise.
 
     Under the promise, f(j) first revisits f(0) at j = r exactly, so a
-    forward scan finds r with r evaluations; a scan that passes
+    forward scan in chunks of 4096 points, the first [0, min(4096, m)),
+    finds r with at most r + 4096 evaluations; a scan that passes
     ``_MAX_PERIOD`` points raises :class:`ValueError`.  The scanned values
-    cover one period, which is checked for a repeated value.  Periodicity
-    is verified on every point when the first scan chunk holds all of f
-    (m <= 4096) or f is a table, else on 64 fixed spot points against their
-    residue mod r and 64 against a shift by r.  No later code evaluates f.
-    A modulus past 2^63 raises :class:`ValueError` before any point is
-    evaluated or drawn: its points do not fit int64.
+    of one period are checked for a repeated value in linear time: each
+    marks its residue mod the least power of two >= 2r in a table, so r
+    distinct residues prove r distinct values, and only a residue
+    collision sorts them to decide exactly.  Periodicity is verified on
+    every point when the first chunk holds all of f (m <= 4096) or f is a
+    table, else on 64 fixed spot points against their residue mod r and 64
+    against a shift by r.  No later code evaluates f.  A modulus past 2^63
+    raises :class:`ValueError` before any point is evaluated or drawn: its
+    points do not fit int64.
     """
     m = f.modulus
     if m > 1 << 63:
         raise ValueError(f"modulus {m} of an undeclared function exceeds 2^63: its points must fit int64")
-    scanned = [np.asarray(f(np.array([0]))).ravel()]
-    f0 = int(scanned[0][0])
-    r = m
-    start, chunk = 1, 4096
-    while start < m:
+    chunks = [f(np.arange(min(_CHUNK, m), dtype=np.int64))]
+    f0 = chunks[0][0]
+    hits = (chunks[0][1:] == f0).nonzero()[0] + 1
+    start = len(chunks[0])  # the end of the scan so far
+    while not hits.size and start < m:
         if start > _MAX_PERIOD:
             raise ValueError(f"period exceeds the budget of {_MAX_PERIOD} points")
-        part = np.asarray(f(np.arange(start, min(start + chunk, m), dtype=np.int64)))
-        scanned.append(part)
-        hits = np.nonzero(part == f0)[0]
-        if hits.size:
-            r = start + int(hits[0])
-            break
-        start += chunk
+        part = f(np.arange(start, min(start + _CHUNK, m, _MAX_PERIOD + 1), dtype=np.int64))
+        chunks.append(part)
+        hits = (part == f0).nonzero()[0] + start
+        start += len(part)
+    r = int(hits[0]) if hits.size else m
     if m % r:
         raise PromiseViolation(f"detected period {r} does not divide modulus {m}")
-    vals = np.concatenate(scanned)  # f on [0, r) at least; all of [0, m) when m <= 4096
-    whole = vals if m <= chunk else f.table
+    whole = chunks[0] if m <= _CHUNK else f.table
     if whole is not None:
         periodic = bool((whole.reshape(-1, r) == whole[:r]).all())
     else:
@@ -165,14 +181,21 @@ def _analyze(f: PeriodicFunction) -> _Structure:
         y = np.random.default_rng(0xD00D).integers(0, m, size=64)
         # (y + r) mod m; a sum past 2^63 only falls in lanes that take y - (m - r)
         shifted = np.where(y < m - r, y + r, y - (m - r))
-        periodic = np.array_equal(f(np.r_[x, y]), f(np.r_[x % r, shifted]))
+        periodic = np.array_equal(f(np.concatenate((x, y))), f(np.concatenate((x % r, shifted))))
     if not periodic:
         raise PromiseViolation("function is not periodic with the detected period")
-    in_period = vals[:r]
-    in_period.sort()  # vals is a fresh array; sorting in place saves a copy of r values
-    if np.any(in_period[1:] == in_period[:-1]):
+    chunks[-1] = chunks[-1][: r - (start - len(chunks[-1]))]  # f on [0, r) exactly
+    size = 1 << (2 * r - 1).bit_length()  # the least power of two >= 2r
+    marked = np.zeros(size, dtype=bool)
+    residues = np.empty(len(chunks[0]), dtype=np.int64)
+    for part in chunks:
+        marked[np.bitwise_and(part, size - 1, out=residues[: len(part)])] = True
+    if np.count_nonzero(marked) == r:
+        return _Structure(m, r, chunks=chunks)
+    values = np.sort(np.concatenate(chunks))  # two values share a residue: the sort decides
+    if np.any(values[1:] == values[:-1]):
         raise PromiseViolation("function repeats a value inside one period")
-    return _Structure(m, r, in_period)
+    return _Structure(m, r, values)
 
 
 def _structure(f: PeriodicFunction) -> _Structure:

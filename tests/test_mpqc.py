@@ -721,6 +721,18 @@ def test_non_int_field_is_a_violation_not_an_exception(field, value):
         assert violation.startswith(f"message {len(res.transcript.messages) - 1}: ")
 
 
+@pytest.mark.parametrize("sender", [-1, True])
+def test_masked_multiple_from_a_non_party_sender_is_a_violation(sender):
+    # 12 is a masked multiple of both inputs, so only the sender is at fault:
+    # inputs[-1] and inputs[True] would both read party 1's 6
+    for who, well_formed in ((0, True), (sender, False)):
+        res = lcm_protocol([4, 6], 5, seed=0)
+        res.transcript.log(KIND_INT, who, 0, {"role": ROLE_MASKED_MULTIPLE, "value": 12, "layer": 0})
+        report = leakage_audit(res, [4, 6])
+        assert report.passed == well_formed
+    assert report.violations == (f"message {len(res.transcript.messages) - 1}: masked multiple from unknown sender",)
+
+
 def test_lcm_run_logs_its_ring_passes_as_one_record():
     primes = [4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161, 4294967143, 4294967111]
     res = lcm_protocol(primes, 32, seed=1)

@@ -1141,3 +1141,80 @@ def test_final_check_rejects_a_divisor_the_verified_period_does_not_divide():
     for d in (4, 6, 9, 18):
         with pytest.raises(PromiseViolation, match=f"returned divisor {d} "):
             _final_check(f, d, 12)
+
+
+# ---------------------------------------------------------------------------
+# the promise check: chunked scan, residue table and its sort fallback
+
+
+def _counting(values, table=False):
+    """A function with the given values on Z_m, and the list of the point
+    counts of its evaluator calls."""
+    values = np.asarray(values, dtype=np.int64)
+    sizes = []
+
+    def evaluate(x):
+        sizes.append(np.size(x))
+        return values[x]
+
+    return PeriodicFunction(modulus=len(values), evaluator=evaluate, table=values if table else None), sizes
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["opaque", "table"])
+@pytest.mark.parametrize("r", [4095, 4096, 4097, 8192])
+def test_periods_at_the_chunk_seams_are_found_exactly(r, table):
+    rng = np.random.default_rng(r)
+    for c in (1, 2, 3):
+        for values in (np.arange(r), rng.permutation(r) * 7919 - (1 << 40)):
+            f, _ = _counting(values[np.arange(c * r) % r], table)
+            got, ref = _analyze(f), _two_check_analyze(f)
+            assert (got.modulus, got.period) == (ref.modulus, ref.period) == (c * r, r)
+            assert np.array_equal(got.values, ref.values)
+
+
+def test_scan_evaluates_at_most_r_plus_one_chunk():
+    for r, c in [(1, 1), (1, 4096), (5, 800), (4095, 1), (4096, 1), (4096, 2), (4097, 2), (8191, 3), (12288, 2)]:
+        values = (np.arange(r) * 3 + 1)[np.arange(c * r) % r]
+        for table in (True, False):
+            f, sizes = _counting(values, table)
+            assert _analyze(f).period == r
+            if c * r <= 4096:  # the first chunk holds all of f: every point checked in one call
+                assert sizes == [c * r], (r, c, table)
+            elif not table:  # the scan, then 128 spot points in two calls
+                assert sizes[-2:] == [128, 128], (r, c)
+                sizes = sizes[:-2]
+            assert sum(sizes) <= r + 4096, (r, c, table)
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["opaque", "table"])
+@pytest.mark.parametrize("r", [2, 5, 4097, 5000])
+def test_values_that_share_a_residue_take_the_exact_sort(r, table):
+    # distinct multiples of the table size 2^ceil(log2 2r) all mark residue 0
+    size = 1 << (2 * r - 1).bit_length()
+    values = np.arange(r, dtype=np.int64) * size - (size << 20)
+    f, _ = _counting(values[np.arange(2 * r) % r], table)
+    got = _analyze(f)
+    assert got._values is not None  # sorted by the fallback, not on first read
+    assert got.period == r and np.array_equal(got.values, np.sort(values))
+    if r > 2:  # a real repeat among them, across chunks when r > 4096
+        values[r - 1] = values[1]
+        f, _ = _counting(values[np.arange(2 * r) % r], table)
+        with pytest.raises(PromiseViolation, match="repeats a value"):
+            _analyze(f)
+
+
+def test_distinct_residues_leave_the_sort_to_the_first_read():
+    got = _analyze(PeriodicFunction.modular(5000, 10_000))
+    assert got._values is None
+    assert np.array_equal(got.values, np.arange(5000))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["opaque", "table"])
+def test_scan_budget_bounds_the_period_exactly(monkeypatch, table):
+    monkeypatch.setattr(periodfind, "_MAX_PERIOD", 3 * 4096)
+    f, _ = _counting(np.arange(2 * 12288) % 12288, table)
+    assert _analyze(f).period == 12288
+    f, _ = _counting(np.arange(2 * 12289) % 12289, table)
+    with pytest.raises(ValueError, match="budget") as info:
+        _analyze(f)
+    assert not isinstance(info.value, PromiseViolation)
