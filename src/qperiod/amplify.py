@@ -74,13 +74,12 @@ class OracleStep:
 @dataclass(frozen=True)
 class DftStep:
     reg: str
-    inverse: bool = False
 
     def apply(self, state: SparseState) -> SparseState:
-        return dft(state, self.reg, inverse=self.inverse)
+        return dft(state, self.reg)
 
     def apply_inverse(self, state: SparseState) -> SparseState:
-        return dft(state, self.reg, inverse=not self.inverse)
+        return dft(state, self.reg, inverse=True)
 
 
 @dataclass(frozen=True)

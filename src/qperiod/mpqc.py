@@ -66,6 +66,16 @@ class TranscriptMessage:
     kind: str
     payload: dict
     counters: dict
+    size = 1  # the messages it stands for in the log, as a record's ``size`` (not a field)
+
+    def messages(self) -> tuple[TranscriptMessage]:
+        return (self,)
+
+    def _audit(self, idx: int, violations: list[str], *context) -> int:
+        if self.kind == KIND_HANDOFF:
+            return 0  # a handoff moves registers, not values: the chain check walks it
+        _check_message(self, idx, violations, *context)
+        return 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,6 +101,14 @@ class _Ring(NamedTuple):
     n: int
     rounds: int  # the round counter before the run
     fourier_calls: int  # the Fourier counter before the run
+    kind = None  # a record is no loose message
+
+    @property
+    def size(self) -> int:
+        return self.n * self.passes
+
+    def _audit(self, idx: int, violations: list[str], *context) -> int:
+        return 0  # handoffs carry no classical value
 
     def messages(self) -> list[TranscriptMessage]:
         out = []
@@ -123,6 +141,33 @@ class _Vote(NamedTuple):
     rounds: int  # the counters at the vote
     oracle_passes: int
     fourier_calls: int
+    kind = None  # a record is no loose message
+
+    @property
+    def size(self) -> int:
+        return len(self.tallies) ** 2 + 2
+
+    def _audit(self, idx: int, violations: list[str],
+               layer_inputs: dict, secrets: list[int], sensitive: set[int]) -> int:
+        """Audit the vote, whose first message has index ``idx``, as :func:`leakage_audit` describes."""
+        n = len(layer_inputs.get(self.layer, secrets))
+        values = [v for row in self.shares for v in row]
+        values += self.tallies
+        ints = {*map(type, values)} <= {int, bool} or all(isinstance(v, int) for v in values)
+        if not (ints and 0 <= min(values) and max(values) <= n and isinstance(self.candidate, int)
+                and self.candidate >= 2 and isinstance(self.result, bool)):
+            for offset, msg in enumerate(self.messages()):
+                _check_message(msg, idx + offset, violations, layer_inputs, secrets, sensitive)
+        if ints:
+            parties = len(self.tallies)
+            modulus = parties + 1
+            if [sum(column) % modulus for column in zip(*self.shares)] != self.tallies:
+                violations.append(f"message {idx + parties * (parties - 1) + 1}: vote tallies {self.tallies} "
+                                  f"are not the column sums of the shares mod {modulus}")
+            if self.result != (sum(self.tallies) % modulus == 0):
+                violations.append(f"message {idx + parties * parties + 1}: "
+                                  f"vote result {self.result} contradicts the tallies")
+        return self.size
 
     def messages(self) -> list[TranscriptMessage]:
         def message(sender, receiver, kind: str, role: str, value) -> TranscriptMessage:
@@ -162,13 +207,7 @@ class Transcript:
 
     @property
     def messages(self) -> tuple[TranscriptMessage, ...]:
-        out: list[TranscriptMessage] = []
-        for entry in self._log:
-            if isinstance(entry, TranscriptMessage):
-                out.append(entry)
-            else:
-                out.extend(entry.messages())
-        return tuple(out)
+        return tuple(m for entry in self._log for m in entry.messages())
 
     def log(self, kind: str, sender, receiver, payload: dict) -> None:
         self._log.append(TranscriptMessage(self.rounds, sender, receiver, kind, payload, self.counters))
@@ -192,29 +231,19 @@ class Transcript:
         """Each handoff pass must be a connected ring walk, and each handoff
         must name its pass with an int.
 
-        A ring record's passes each walk from party 0 back to party 0, and
-        its passes are contiguous, so it is checked against the handoff
-        messages on its span alone.
+        A ring record's passes are connected walks by construction, so
+        only a handoff logged as a loose message can break a chain; only
+        then are the expanded ``messages`` walked hop by hop.
         """
-        last_by_pass: dict[int, int] = {}  # the last receiver on each pass a handoff message took
-        rings: list[range] = []
-        for entry in self._log:
-            if isinstance(entry, _Ring):
-                span = range(entry.pass_no, entry.pass_no + entry.passes)
-                for p, receiver in last_by_pass.items():
-                    if p in span:
-                        if receiver != 0:
-                            return False
-                        last_by_pass[p] = 0
-                rings.append(span)
-            elif isinstance(entry, TranscriptMessage) and entry.kind == KIND_HANDOFF:
-                p, sender = entry.payload.get("pass"), entry.sender
-                if type(p) is not int:  # a bool is no pass number either
+        if all(entry.kind != KIND_HANDOFF for entry in self._log):
+            return True
+        last_by_pass: dict[int, int] = {}  # the last receiver on each pass
+        for m in self.messages:
+            if m.kind == KIND_HANDOFF:
+                p = m.payload.get("pass")
+                if type(p) is not int or last_by_pass.get(p, m.sender) != m.sender:  # a bool is no pass either
                     return False
-                last = last_by_pass.get(p, 0 if any(p in span for span in rings) else sender)
-                if last != sender:
-                    return False
-                last_by_pass[p] = entry.receiver
+                last_by_pass[p] = m.receiver
         return True
 
 
@@ -528,45 +557,13 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
     checked = 0
     idx = 0  # the index of the entry's first message in the expanded ``messages``
     for entry in result.transcript._log:
-        if isinstance(entry, _Ring):
-            idx += entry.n * entry.passes
-            continue
-        if isinstance(entry, _Vote):
-            size = len(entry.tallies) ** 2 + 2
-            inputs = layer_inputs.get(entry.layer, secrets)
-            _check_vote(entry, idx, len(inputs), violations, layer_inputs, secrets, sensitive)
-            checked += size
-            idx += size
-            continue
-        if entry.kind != KIND_HANDOFF:
-            checked += 1
-            _check_message(entry, idx, violations, layer_inputs, secrets, sensitive)
-        idx += 1
+        checked += entry._audit(idx, violations, layer_inputs, secrets, sensitive)
+        idx += entry.size
 
     if not result.transcript.verify_handoff_chain():
         violations.append("register handoffs do not form connected ring passes")
 
     return AuditReport(passed=not violations, violations=tuple(violations), messages_checked=checked)
-
-
-def _check_vote(vote: _Vote, idx: int, n: int, violations: list[str], *context) -> None:
-    """Audit a vote record whose first message has index ``idx``, for a layer of n inputs."""
-    values = [v for row in vote.shares for v in row]
-    values += vote.tallies
-    ints = {*map(type, values)} <= {int, bool} or all(isinstance(v, int) for v in values)
-    if not (ints and 0 <= min(values) and max(values) <= n and isinstance(vote.candidate, int)
-            and vote.candidate >= 2 and isinstance(vote.result, bool)):
-        for offset, msg in enumerate(vote.messages()):
-            _check_message(msg, idx + offset, violations, *context)
-    if not ints:
-        return
-    parties = len(vote.tallies)
-    modulus = parties + 1
-    if [sum(column) % modulus for column in zip(*vote.shares)] != vote.tallies:
-        violations.append(f"message {idx + parties * (parties - 1) + 1}: "
-                          f"vote tallies {vote.tallies} are not the column sums of the shares mod {modulus}")
-    if vote.result != (sum(vote.tallies) % modulus == 0):
-        violations.append(f"message {idx + parties * parties + 1}: vote result {vote.result} contradicts the tallies")
 
 
 def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .amplify import (
+    MASS_TOL,
     DftStep,
     OracleStep,
     PrepStep,
@@ -59,11 +60,9 @@ from .qstate import (
     joint_marginal,
 )
 
-MASS_TOL = 1e-9
-
-# Largest period _analyze scans for (its scan, the values it keeps and its
-# residue table grow with the period; declared functions are never
-# scanned), and the cap of factorint's prime sieve.
+# Largest period _analyze accepts, a period equal to the modulus too (its
+# scan, the values it keeps and its residue table grow with the period;
+# declared functions are never scanned), and the cap of factorint's sieve.
 _MAX_PERIOD = 1 << 24
 
 
@@ -112,65 +111,42 @@ class PeriodicFunction:
         return cls(modulus=len(table), evaluator=lambda x: table[x], table=table)
 
 
-class _Structure:
-    """Verified orbit structure of a promise-satisfying function.
-
-    ``values``, the r in-period values of f sorted, is given sorted or
-    built on its first read from the in-period ``chunks`` that
-    :func:`_analyze` scanned; only the program engine's rank oracle reads
-    it, so the block engine never sorts them.
-    """
-
-    __slots__ = ("modulus", "period", "_values", "_chunks")
-
-    def __init__(self, modulus: int, period: int, values: np.ndarray | None = None,
-                 chunks: Sequence[np.ndarray] = ()):
-        self.modulus, self.period = modulus, period
-        self._values, self._chunks = values, chunks
-
-    @property
-    def values(self) -> np.ndarray | None:
-        if self._values is None and self._chunks:
-            self._values = np.sort(np.concatenate(self._chunks))
-            self._chunks = ()
-        return self._values
-
-
 _CHUNK = 4096  # points per evaluator call of _analyze's scan
 
 
-def _analyze(f: PeriodicFunction) -> _Structure:
-    """Detect the exact period of ``f`` and verify the promise.
+def _analyze(f: PeriodicFunction) -> int:
+    """Detect the exact period of ``f``, verify the promise and return the period.
 
     Under the promise, f(j) first revisits f(0) at j = r exactly, so a
     forward scan in chunks of 4096 points, the first [0, min(4096, m)),
-    finds r with at most r + 4096 evaluations; a scan that passes
-    ``_MAX_PERIOD`` points raises :class:`ValueError`.  The scanned values
-    of one period are checked for a repeated value in linear time: each
-    marks its residue mod the least power of two >= 2r in a table, so r
-    distinct residues prove r distinct values, and only a residue
-    collision sorts them to decide exactly.  Periodicity is verified on
-    every point when the first chunk holds all of f (m <= 4096) or f is a
-    table, else on 64 fixed spot points against their residue mod r and 64
-    against a shift by r.  No later code evaluates f.  A modulus past 2^63
-    raises :class:`ValueError` before any point is evaluated or drawn: its
-    points do not fit int64.
+    finds r with at most r + 4096 evaluations; a period past
+    ``_MAX_PERIOD`` (r = m included) raises :class:`ValueError` after at
+    most ``_MAX_PERIOD + 1``.  The values of one period are checked for a
+    repeat in linear time: each marks its residue mod the least power of
+    two >= 2r in a table, so r distinct residues prove r distinct values,
+    and only a residue collision sorts them to decide exactly.  Periodicity
+    is verified on every point when the first chunk holds all of f (m <=
+    4096) or f is a table, else on 64 fixed spot points against their
+    residue mod r and 64 against a shift by r.  The block engine evaluates
+    f nowhere else.  A modulus past 2^63 raises :class:`ValueError` before
+    any point is evaluated or drawn: its points do not fit int64.
     """
     m = f.modulus
     if m > 1 << 63:
         raise ValueError(f"modulus {m} of an undeclared function exceeds 2^63: its points must fit int64")
+    end = min(m, _MAX_PERIOD + 1)  # a period past the budget shows as no repeat before end
     chunks = [f(np.arange(min(_CHUNK, m), dtype=np.int64))]
     f0 = chunks[0][0]
     hits = (chunks[0][1:] == f0).nonzero()[0] + 1
     start = len(chunks[0])  # the end of the scan so far
-    while not hits.size and start < m:
-        if start > _MAX_PERIOD:
-            raise ValueError(f"period exceeds the budget of {_MAX_PERIOD} points")
-        part = f(np.arange(start, min(start + _CHUNK, m, _MAX_PERIOD + 1), dtype=np.int64))
+    while not hits.size and start < end:
+        part = f(np.arange(start, min(start + _CHUNK, end), dtype=np.int64))
         chunks.append(part)
         hits = (part == f0).nonzero()[0] + start
         start += len(part)
     r = int(hits[0]) if hits.size else m
+    if r > _MAX_PERIOD:
+        raise ValueError(f"period exceeds the budget of {_MAX_PERIOD} points")
     if m % r:
         raise PromiseViolation(f"detected period {r} does not divide modulus {m}")
     whole = chunks[0] if m <= _CHUNK else f.table
@@ -190,22 +166,21 @@ def _analyze(f: PeriodicFunction) -> _Structure:
     residues = np.empty(len(chunks[0]), dtype=np.int64)
     for part in chunks:
         marked[np.bitwise_and(part, size - 1, out=residues[: len(part)])] = True
-    if np.count_nonzero(marked) == r:
-        return _Structure(m, r, chunks=chunks)
-    values = np.sort(np.concatenate(chunks))  # two values share a residue: the sort decides
-    if np.any(values[1:] == values[:-1]):
-        raise PromiseViolation("function repeats a value inside one period")
-    return _Structure(m, r, values)
+    if np.count_nonzero(marked) < r:  # two values share a residue: the sort decides
+        values = np.sort(np.concatenate(chunks))
+        if np.any(values[1:] == values[:-1]):
+            raise PromiseViolation("function repeats a value inside one period")
+    return r
 
 
-def _structure(f: PeriodicFunction) -> _Structure:
-    """The declared structure of ``f`` if it has one, else :func:`_analyze`'s."""
+def _period(f: PeriodicFunction) -> int:
+    """The declared period of ``f`` if it has one, else :func:`_analyze`'s."""
     if f.residues is None:
         return _analyze(f)
     r = math.lcm(*f.residues)
     if f.modulus % r:
         raise PromiseViolation(f"declared period {r} does not divide modulus {f.modulus}")
-    return _Structure(f.modulus, r)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +411,8 @@ class _BlockSampler:
     they are read.
     """
 
-    def __init__(self, structure: _Structure):
-        self.m = structure.modulus
-        self.r = structure.period
-        self.step = self.m // self.r
+    def __init__(self, m: int, r: int):
+        self.r, self.step = r, m // r
 
     def run(self, d: int, j: int) -> _Run:
         return _Run(*_mark_run(self.r, self.step, d, j))
@@ -479,8 +452,9 @@ class _ProgramSampler:
     """Literal iteration: the marked program, one boost, one measurement.
 
     The value register has dimension m, so f is loaded as the rank of its
-    value among the r sorted in-period values: the same level sets as f,
-    with values in [0, r) that cannot collide mod m whatever f's range.
+    value among the r sorted in-period values f(0), ..., f(r-1), read once
+    here: the same level sets as f, with values in [0, r) that cannot
+    collide mod m whatever f's range.
 
     Only the mark oracle, the last step of :func:`marked_program`, depends
     on (d, j), so the state before it is prepared once per run.  The
@@ -493,10 +467,10 @@ class _ProgramSampler:
     one rng draw :func:`measure_joint` would take on the boosted state.
     """
 
-    def __init__(self, f: PeriodicFunction, structure: _Structure):
-        values = structure.values
+    def __init__(self, f: PeriodicFunction, r: int):
+        values = np.sort(f(np.arange(r)))
         self.f = PeriodicFunction(modulus=f.modulus, evaluator=lambda x: np.searchsorted(values, f(x)))
-        self.r, self.step = structure.period, f.modulus // structure.period
+        self.r, self.step = r, f.modulus // r
         program = marked_program(self.f, 1, -1)
         self.unmarked = ReversibleProgram(program.layout, program.steps[:-1]).run()
         self.marginals: dict[tuple[int, int], tuple[list, np.ndarray, float]] = {}
@@ -539,23 +513,24 @@ def eqpa(
     are built only when ``trace.records`` is first read.  Raises
     :class:`PromiseViolation` if the promise fails.  It is verified once,
     before either engine runs: from declared ``residues`` without
-    evaluating f (block engine only), or by :func:`_analyze`.  The final
-    check is then exact: d is a period iff the verified period divides it.
+    evaluating f (block engine only), or by :func:`_analyze`, which returns
+    only the verified period.  The final check is then exact: d is a
+    period iff the verified period divides it.
     """
     m = f.modulus
     if engine == "block":
-        structure = _structure(f)
-        sampler: _BlockSampler | _ProgramSampler = _BlockSampler(structure)
+        r = _period(f)
+        sampler: _BlockSampler | _ProgramSampler = _BlockSampler(m, r)
     elif engine == "program":
-        structure = _analyze(f)  # the literal oracle needs the sorted values
-        sampler = _ProgramSampler(f, structure)
+        r = _analyze(f)  # the literal oracle evaluates f, so f itself is checked
+        sampler = _ProgramSampler(f, r)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
     sweep = list(range(-1, m.bit_length()))  # j = -1..floor(log2 m), m >= 1
     trace = EqpaTrace()
     records = trace.records
-    d, r = 1, structure.period
+    d = 1
     left = sweep  # the iterations still to run unless an outcome updates d
     while left and d != r:
         todo, left = left, []
@@ -585,7 +560,7 @@ def eqpa(
         for record in trace.records[head:]:
             on_iteration(record)
 
-    _final_check(f, d, structure.period)
+    _final_check(f, d, r)
     return d, trace
 
 
@@ -603,8 +578,7 @@ def standard_qpa(f: PeriodicFunction, rng: np.random.Generator, samples: int = 1
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    structure = _structure(f)
-    m, r = structure.modulus, structure.period
+    m, r = f.modulus, _period(f)
     g = m
     for _ in range(samples):
         k = int(rng.integers(r)) * (m // r)  # exact marginal: uniform on multiples of m/r

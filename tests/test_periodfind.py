@@ -25,7 +25,7 @@ from qperiod.periodfind import (
 )
 from qperiod.amplify import boost_from_half
 from qperiod import periodfind
-from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check, _floor_sum, _Structure
+from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check, _floor_sum
 from qperiod.qstate import QStateError, good_mass, measure_joint
 
 
@@ -343,7 +343,7 @@ def test_block_sampler_matches_full_length_walk():
     @example(case=(40, 20, 10, -1, 1))  # r' = 2
     def check(case):
         m, r, d, j, seed = case
-        got = _BlockSampler(_Structure(m, r)).sample(d, j, np.random.default_rng(seed))
+        got = _BlockSampler(m, r).sample(d, j, np.random.default_rng(seed))
         want = _full_length_sample(m, r, d, j, np.random.default_rng(seed))
         assert got[:3] == want[:3]
         assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
@@ -488,7 +488,7 @@ def test_block_sampler_matches_full_length_walk_at_wide_runs():
     @example(case=(4 * 131071, 2 * 131071, 2, -1, 3))  # r' = 131071 odd, j = -1
     def check(case):
         m, r, d, j, seed = case
-        got = _BlockSampler(_Structure(m, r)).sample(d, j, np.random.default_rng(seed))
+        got = _BlockSampler(m, r).sample(d, j, np.random.default_rng(seed))
         want = _full_length_sample(m, r, d, j, np.random.default_rng(seed))
         assert got[:3] == want[:3]
         assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
@@ -507,7 +507,7 @@ def test_block_sampler_matches_full_length_walk_at_wide_runs():
 @pytest.mark.parametrize("r, m", [(1, 4), (3, 12), (4, 8), (6, 12), (12, 24), (10, 40)])
 def test_block_sampler_weights_are_boosted_state_masses(r, m):
     f = PeriodicFunction.modular(r, m)
-    sampler = _BlockSampler(_Structure(m, r))
+    sampler = _BlockSampler(m, r)
     step = m // r
     for d in (x for x in range(1, m + 1) if m % x == 0):
         for j in range(-1, m.bit_length()):
@@ -560,7 +560,7 @@ def _exact_full_length_sample(m, r, d, j, u):
 @pytest.mark.parametrize("r, c", [(2, 1), (6, 2), (12, 4), (20, 2), (30, 3), (42, 2), (60, 1)])
 def test_block_sampler_resolves_exact_ties(r, c):
     m = r * c
-    sampler = _BlockSampler(_Structure(m, r))
+    sampler = _BlockSampler(m, r)
     for d in (x for x in range(1, m + 1) if m % x == 0):
         g = math.gcd(d, r)
         # rng.random() draws are multiples of 2^-53: take the first, the
@@ -636,8 +636,8 @@ class _FreshBoostSampler(periodfind._ProgramSampler):
     """Reference program sampler: a fresh marked program, boost and joint
     measurement on every iteration, repeats of (d, j) included."""
 
-    def __init__(self, f, structure):
-        values = structure.values
+    def __init__(self, f, r):
+        values = np.sort(f(np.arange(r)))
         self.f = PeriodicFunction(modulus=f.modulus, evaluator=lambda x: np.searchsorted(values, f(x)))
 
     def sample(self, d, j, rng):
@@ -705,8 +705,7 @@ def test_program_sampler_matches_a_fresh_boost_at_every_mark(r, m):
     # informative with high probability), so drive the sampler over every
     # (d, j) directly: a key coarser than the good set shows here
     f = PeriodicFunction.from_table(np.random.default_rng(r).permutation(m)[:r][np.arange(m) % r])
-    structure = _analyze(f)
-    cached, fresh = periodfind._ProgramSampler(f, structure), _FreshBoostSampler(f, structure)
+    cached, fresh = periodfind._ProgramSampler(f, r), _FreshBoostSampler(f, r)
     for d in (x for x in range(1, r + 1) if r % x == 0):
         for j in range(-1, m.bit_length()):
             for seed in range(3):
@@ -890,7 +889,7 @@ def test_spot_checked_branch_rejects_repeats_and_non_dividing_returns(table):
 def _per_iteration_eqpa(f, rng):
     """The block engine's loop with one ``sample`` call, and one rng draw,
     per iteration, settled or not: the reference for the batched tail."""
-    sampler = _BlockSampler(_analyze(f))
+    sampler = _BlockSampler(f.modulus, _analyze(f))
     m = f.modulus
     trace = EqpaTrace()
     d = 1
@@ -984,7 +983,7 @@ def test_settled_tail_is_expanded_once_into_the_hooked_records(engine):
 # one promise check before the run, against the earlier two-check design
 
 
-def _two_check_analyze(f: PeriodicFunction) -> _Structure:
+def _two_check_analyze(f: PeriodicFunction) -> int:
     """``_analyze`` as it was when ``_final_check`` still evaluated f: the
     reference for the single promise check."""
     m = f.modulus
@@ -1018,7 +1017,7 @@ def _two_check_analyze(f: PeriodicFunction) -> _Structure:
     in_period.sort()  # vals is a fresh array; sorting in place saves a copy of r values
     if np.any(in_period[1:] == in_period[:-1]):
         raise PromiseViolation("function repeats a value inside one period")
-    return _Structure(m, r, in_period)
+    return r
 
 
 def _two_check_final_check(f: PeriodicFunction, d: int) -> None:
@@ -1167,9 +1166,19 @@ def test_periods_at_the_chunk_seams_are_found_exactly(r, table):
     for c in (1, 2, 3):
         for values in (np.arange(r), rng.permutation(r) * 7919 - (1 << 40)):
             f, _ = _counting(values[np.arange(c * r) % r], table)
-            got, ref = _analyze(f), _two_check_analyze(f)
-            assert (got.modulus, got.period) == (ref.modulus, ref.period) == (c * r, r)
-            assert np.array_equal(got.values, ref.values)
+            assert _analyze(f) == _two_check_analyze(f) == r
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["opaque", "table"])
+@pytest.mark.parametrize("r", [4095, 4096, 4097, 8192])
+def test_repeat_check_covers_exactly_one_period_at_the_chunk_seams(r, table):
+    # f(r-1) repeats f(1): a scan trimmed one value short of [0, r) misses it
+    values = np.arange(r)
+    values[r - 1] = values[1]
+    for c in (1, 2, 3):
+        f, _ = _counting(values[np.arange(c * r) % r], table)
+        with pytest.raises(PromiseViolation, match="repeats a value"):
+            _analyze(f)
 
 
 def test_scan_evaluates_at_most_r_plus_one_chunk():
@@ -1177,7 +1186,7 @@ def test_scan_evaluates_at_most_r_plus_one_chunk():
         values = (np.arange(r) * 3 + 1)[np.arange(c * r) % r]
         for table in (True, False):
             f, sizes = _counting(values, table)
-            assert _analyze(f).period == r
+            assert _analyze(f) == r
             if c * r <= 4096:  # the first chunk holds all of f: every point checked in one call
                 assert sizes == [c * r], (r, c, table)
             elif not table:  # the scan, then 128 spot points in two calls
@@ -1193,9 +1202,7 @@ def test_values_that_share_a_residue_take_the_exact_sort(r, table):
     size = 1 << (2 * r - 1).bit_length()
     values = np.arange(r, dtype=np.int64) * size - (size << 20)
     f, _ = _counting(values[np.arange(2 * r) % r], table)
-    got = _analyze(f)
-    assert got._values is not None  # sorted by the fallback, not on first read
-    assert got.period == r and np.array_equal(got.values, np.sort(values))
+    assert _analyze(f) == r
     if r > 2:  # a real repeat among them, across chunks when r > 4096
         values[r - 1] = values[1]
         f, _ = _counting(values[np.arange(2 * r) % r], table)
@@ -1203,18 +1210,26 @@ def test_values_that_share_a_residue_take_the_exact_sort(r, table):
             _analyze(f)
 
 
-def test_distinct_residues_leave_the_sort_to_the_first_read():
-    got = _analyze(PeriodicFunction.modular(5000, 10_000))
-    assert got._values is None
-    assert np.array_equal(got.values, np.arange(5000))
-
-
 @pytest.mark.parametrize("table", [False, True], ids=["opaque", "table"])
 def test_scan_budget_bounds_the_period_exactly(monkeypatch, table):
     monkeypatch.setattr(periodfind, "_MAX_PERIOD", 3 * 4096)
     f, _ = _counting(np.arange(2 * 12288) % 12288, table)
-    assert _analyze(f).period == 12288
+    assert _analyze(f) == 12288
     f, _ = _counting(np.arange(2 * 12289) % 12289, table)
     with pytest.raises(ValueError, match="budget") as info:
         _analyze(f)
+    assert not isinstance(info.value, PromiseViolation)
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["opaque", "table"])
+def test_period_equal_to_the_modulus_is_held_to_the_budget(monkeypatch, table):
+    # a scan that reaches m without a repeat takes r = m, which must still fit the budget
+    monkeypatch.setattr(periodfind, "_MAX_PERIOD", 3 * 4096)
+
+    def injective(m):
+        return PeriodicFunction.from_table(np.arange(m)) if table else PeriodicFunction.modular(m, m)
+
+    assert _analyze(injective(12288)) == 12288
+    with pytest.raises(ValueError, match="budget") as info:
+        _analyze(injective(12289))
     assert not isinstance(info.value, PromiseViolation)
