@@ -95,7 +95,7 @@ def _eqpa(args):
     period, trace = periodfind.eqpa(_modular(args), np.random.default_rng(args.seed))
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.writelines(json.dumps(rec.to_json_dict()) + "\n" for rec in trace.records)
+            fh.writelines(json.dumps(rec._asdict()) + "\n" for rec in trace.records)
     counters = {"fourier_calls": trace.fourier_calls, "oracle_passes": trace.fourier_calls}
     return {"r": args.r, "m": args.m}, period, counters, EXIT_OK
 

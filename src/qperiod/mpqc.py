@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -71,10 +72,10 @@ class TranscriptMessage:
     def messages(self) -> tuple[TranscriptMessage]:
         return (self,)
 
-    def _audit(self, idx: int, violations: list[str], *context) -> int:
+    def _audit(self, idx: int, violations: list[str], layer_inputs: dict, secrets: list[int]) -> int:
         if self.kind == KIND_HANDOFF:
             return 0  # a handoff moves registers, not values: the chain check walks it
-        _check_message(self, idx, violations, *context)
+        _check_message(self, idx, violations, layer_inputs, secrets)
         return 1
 
     def to_json_dict(self) -> dict:
@@ -93,14 +94,13 @@ class _Ring(NamedTuple):
 
     EQPA applies A, A^{-1}, A per iteration, the first A being the prep pass,
     so pass i of the run is inverse when i % 3 == 1 and forward otherwise,
-    and carries Fourier count ``fourier_calls + 3 * (i // 3)``.
+    and carries Fourier count ``pass_no - 1 + 3 * (i // 3)``: one call per pass.
     """
 
     pass_no: int  # the number of the run's first pass
     passes: int
     n: int
     rounds: int  # the round counter before the run
-    fourier_calls: int  # the Fourier counter before the run
     kind = None  # a record is no loose message
 
     @property
@@ -115,7 +115,7 @@ class _Ring(NamedTuple):
         forward = [(i, (i + 1) % self.n) for i in range(self.n)]
         inverse = [(b, a) for a, b in reversed(forward)]
         for i in range(self.passes):
-            p, fourier = self.pass_no + i, self.fourier_calls + 3 * (i // 3)
+            p, fourier = self.pass_no + i, self.pass_no - 1 + 3 * (i // 3)
             direction, hops = ("inverse", inverse) if i % 3 == 1 else ("forward", forward)
             for rounds, (a, b) in enumerate(hops, start=self.rounds + self.n * i + 1):
                 payload = {"registers": ["t"], "pass": p, "direction": direction}
@@ -130,7 +130,8 @@ class _Vote(NamedTuple):
     In order: party 0 broadcasts the candidate, party i sends share j of
     its no-vote to each party j != i (row by row), party j broadcasts its
     tally (the sum of column j mod n+1), and party 0 broadcasts the result
-    (whether the tallies sum to 0 mod n+1).  All carry the vote's counters.
+    (whether the tallies sum to 0 mod n+1).  All carry the vote's counters,
+    its pass count standing as its Fourier count too.
     """
 
     layer: int
@@ -140,15 +141,13 @@ class _Vote(NamedTuple):
     result: bool
     rounds: int  # the counters at the vote
     oracle_passes: int
-    fourier_calls: int
     kind = None  # a record is no loose message
 
     @property
     def size(self) -> int:
         return len(self.tallies) ** 2 + 2
 
-    def _audit(self, idx: int, violations: list[str],
-               layer_inputs: dict, secrets: list[int], sensitive: set[int]) -> int:
+    def _audit(self, idx: int, violations: list[str], layer_inputs: dict, secrets: list[int]) -> int:
         """Audit the vote, whose first message has index ``idx``, as :func:`leakage_audit` describes."""
         n = len(layer_inputs.get(self.layer, secrets))
         values = [v for row in self.shares for v in row]
@@ -157,7 +156,7 @@ class _Vote(NamedTuple):
         if not (ints and 0 <= min(values) and max(values) <= n and isinstance(self.candidate, int)
                 and self.candidate >= 2 and isinstance(self.result, bool)):
             for offset, msg in enumerate(self.messages()):
-                _check_message(msg, idx + offset, violations, layer_inputs, secrets, sensitive)
+                _check_message(msg, idx + offset, violations, layer_inputs, secrets)
         if ints:
             parties = len(self.tallies)
             modulus = parties + 1
@@ -171,7 +170,7 @@ class _Vote(NamedTuple):
 
     def messages(self) -> list[TranscriptMessage]:
         def message(sender, receiver, kind: str, role: str, value) -> TranscriptMessage:
-            counters = {"rounds": self.rounds, "oracle_passes": self.oracle_passes, "fourier_calls": self.fourier_calls}
+            counters = {"rounds": self.rounds, "oracle_passes": self.oracle_passes, "fourier_calls": self.oracle_passes}
             payload = {"role": role, "value": value, "layer": self.layer}
             return TranscriptMessage(self.rounds, sender, receiver, kind, payload, counters)
 
@@ -184,7 +183,8 @@ class _Vote(NamedTuple):
 
 
 class Transcript:
-    """Ordered message log with live round/pass/Fourier counters.
+    """Ordered message log with live round and pass counters (each pass is
+    one Fourier call, so ``counters`` reports passes as ``fourier_calls`` too).
 
     An LCM run's ring passes are one record, and so is each divisibility
     vote; a record is expanded into its messages (n handoffs per ring pass,
@@ -195,15 +195,10 @@ class Transcript:
         self._log: list[TranscriptMessage | _Ring | _Vote] = []
         self.rounds = 0
         self.oracle_passes = 0
-        self.fourier_calls = 0
 
     @property
     def counters(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "oracle_passes": self.oracle_passes,
-            "fourier_calls": self.fourier_calls,
-        }
+        return {"rounds": self.rounds, "oracle_passes": self.oracle_passes, "fourier_calls": self.oracle_passes}
 
     @property
     def messages(self) -> tuple[TranscriptMessage, ...]:
@@ -214,15 +209,13 @@ class Transcript:
 
     def log_ring(self, n: int, passes: int) -> None:
         """An LCM run's ring passes of the work register, one per Fourier call; n rounds each."""
-        self._log.append(_Ring(self.oracle_passes + 1, passes, n, self.rounds, self.fourier_calls))
+        self._log.append(_Ring(self.oracle_passes + 1, passes, n, self.rounds))
         self.oracle_passes += passes
-        self.fourier_calls += passes
         self.rounds += n * passes
 
     def log_vote(self, layer: int, candidate: int, shares: list[list[int]], tallies: list[int], result: bool) -> None:
         """A divisibility vote: its share matrix (row i is party i's shares), tallies and result."""
-        self._log.append(_Vote(layer, candidate, shares, tallies, result,
-                               self.rounds, self.oracle_passes, self.fourier_calls))
+        self._log.append(_Vote(layer, candidate, shares, tallies, result, self.rounds, self.oracle_passes))
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(m.to_json_dict()) + "\n" for m in self.messages)
@@ -251,11 +244,11 @@ class Transcript:
 class ProtocolResult:
     """One protocol run.  ``accept`` is always True and ``repetitions`` always 0,
     because EQPA is exact; both are kept for callers that still read them.
+    ``party_views`` is read from the transcript's messages on each read.
     """
 
     output: object
     transcript: Transcript
-    party_views: tuple[dict, ...]
     accept: bool = True
     repetitions: int = 0
     layer_inputs: tuple[tuple[str, tuple[int, ...]], ...] = ()
@@ -263,6 +256,15 @@ class ProtocolResult:
     @property
     def counters(self) -> dict:
         return self.transcript.counters
+
+    @property
+    def party_views(self) -> tuple[dict, ...]:
+        """Each party's message counts: a message counts once for its sender and once for its receiver."""
+        messages = self.transcript.messages
+        sent = Counter(m.sender for m in messages)
+        received = Counter(m.receiver for m in messages)
+        return tuple({"party": i, "sent": sent[i], "received": received[i], "output": self.output}
+                     for i in range(len(self.layer_inputs[0][1])))
 
 
 class _Context:
@@ -285,27 +287,7 @@ def _run(n: int, seed: int, body) -> ProtocolResult:
     """Run ``body`` on one fresh context of n parties and close the run."""
     ctx = _Context(n, seed)
     output = body(ctx)
-    return ProtocolResult(output, ctx.transcript, _party_views(ctx, output), layer_inputs=tuple(ctx.layers))
-
-
-def _party_views(ctx: _Context, output) -> tuple[dict, ...]:
-    # Each ring pass sends and receives one handoff per party.  In a vote of
-    # n parties each party sends n - 1 shares and a tally and receives n - 1
-    # shares, and party 0 also broadcasts the candidate and the result.
-    passes = ctx.transcript.oracle_passes
-    sent = dict.fromkeys(range(len(ctx.rngs)), passes)
-    received = dict(sent)
-    for entry in ctx.transcript._log:
-        if isinstance(entry, TranscriptMessage):
-            sent[entry.sender] = sent.get(entry.sender, 0) + 1
-            received[entry.receiver] = received.get(entry.receiver, 0) + 1
-        elif isinstance(entry, _Vote):
-            n = len(entry.tallies)
-            for i in range(n):
-                sent[i] += n
-                received[i] += n - 1
-            sent[0] += 2
-    return tuple({"party": i, "sent": sent[i], "received": received[i], "output": output} for i in range(len(ctx.rngs)))
+    return ProtocolResult(output, ctx.transcript, layer_inputs=tuple(ctx.layers))
 
 
 def _publish(ctx: _Context, layer: int, output):
@@ -346,20 +328,17 @@ def _joint_residue_function(secrets: Sequence[int], k: int) -> PeriodicFunction:
     Injective per residue pattern, so the packed function has exactly the
     joint period lcm(r_i); all values stay below prod(r_i) <= k.  The
     residue moduli are declared on the function, so the block engine takes
-    that period from them instead of scanning f.
+    that period from them and never calls ``evaluate``.
     """
     xs = [int(s) for s in secrets]
-    weights = []
-    w = 1
-    for x in xs:
-        weights.append(w)
-        w *= x
 
     def evaluate(j):
         j = np.asarray(j, dtype=np.int64)
         out = np.zeros_like(j)
-        for x, wt in zip(xs, weights):
-            out += (j % x) * wt
+        w = 1
+        for x in xs:
+            out += (j % x) * w
+            w *= x
         return out
 
     return PeriodicFunction(modulus=k, evaluator=evaluate, residues=tuple(xs))
@@ -549,15 +528,11 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
     """
     secrets = [int(s) for s in secrets]
     layer_inputs = {i: vals for i, (_, vals) in enumerate(result.layer_inputs)}
-    sensitive = set(secrets)
-    for vals in layer_inputs.values():
-        sensitive.update(vals)
-
     violations: list[str] = []
     checked = 0
     idx = 0  # the index of the entry's first message in the expanded ``messages``
     for entry in result.transcript._log:
-        checked += entry._audit(idx, violations, layer_inputs, secrets, sensitive)
+        checked += entry._audit(idx, violations, layer_inputs, secrets)
         idx += entry.size
 
     if not result.transcript.verify_handoff_chain():
@@ -567,7 +542,7 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
 
 
 def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
-                   layer_inputs: dict, secrets: list[int], sensitive: set[int]) -> None:
+                   layer_inputs: dict, secrets: list[int]) -> None:
     """Audit one classical message, the one at index ``idx`` of the expanded ``messages``."""
     role = msg.payload.get("role")
     value = msg.payload.get("value")
@@ -604,6 +579,7 @@ def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
         # construction, so scan against those; a message without a valid
         # layer (e.g. injected) is held against every known secret.
         basis = layer_inputs.get(layer)
-        scan = set(basis) if basis is not None else sensitive
-        if value in scan:
+        if basis is None:
+            basis = {*secrets, *(v for vals in layer_inputs.values() for v in vals)}
+        if value in basis:
             violations.append(f"message {idx}: raw secret value {value} on the wire")

@@ -75,9 +75,10 @@ class PeriodicFunction:
     """A function on Z_m promised to be exactly periodic with r | m.
 
     ``evaluator`` takes int64 arrays of points, so a function that is
-    evaluated (any undeclared one) needs m <= 2^63.  ``table``, set by
-    :meth:`from_table`, holds every value, so the promise check reads all
-    of it instead of spot points.  ``residues`` declares
+    evaluated (any undeclared one) needs m <= 2^63.  It must return a new
+    array on each call: the promise check keeps the arrays it gets back.
+    ``table``, set by :meth:`from_table`, holds every value, so the promise
+    check reads all of it instead of spot points.  ``residues`` declares
     that f(x) is an injective function of (x mod x_0, ..., x mod x_{n-1}):
     by the CRT its period is then exactly lcm(x_i), and the promise holds
     whenever that lcm divides the modulus, so the block engine takes the
@@ -191,7 +192,7 @@ def fourier_sampling_program(f: PeriodicFunction) -> ReversibleProgram:
     """[prepare index; evaluate f into the value register; Fourier on index]."""
     m = f.modulus
     layout = RegisterLayout.of(("index", m), ("value", m))
-    oracle = ClassicalOracle(("index",), "value", f.evaluator, name="f")
+    oracle = ClassicalOracle(("index",), "value", f.evaluator)
     return ReversibleProgram(layout, (PrepStep("index"), OracleStep(oracle), DftStep("index")))
 
 
@@ -227,9 +228,9 @@ def marked_program(f: PeriodicFunction, d: int, j: int) -> ReversibleProgram:
         raise ValueError("d must be a positive divisor of the modulus")
     m = f.modulus
     layout = RegisterLayout.of(("index", m), ("value", m), ("b", 2), ("good", 2))
-    f_oracle = ClassicalOracle(("index",), "value", f.evaluator, name="f")
+    f_oracle = ClassicalOracle(("index",), "value", f.evaluator)
     mark = goodness(d, m, j)
-    mark_oracle = ClassicalOracle(("index", "b"), "good", mark.fn, name=mark.name)
+    mark_oracle = ClassicalOracle(("index", "b"), "good", mark.fn)
     return ReversibleProgram(
         layout,
         (
@@ -264,9 +265,6 @@ class EqpaRecord(NamedTuple):
     updated: bool
     d_after: int
     fourier_calls: int
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 class EqpaTrace:

@@ -145,20 +145,17 @@ class ClassicalOracle:
     The function value is accumulated into the output register modulo its
     dimension (plain XOR when the output is a bit), which makes the induced
     basis map a permutation regardless of the function.  ``fn`` receives one
-    int64 array per input register.
+    int64 array per input register and returns one value per entry, or one
+    value for all of them.
     """
 
     inputs: tuple[str, ...]
     output: str
     fn: Callable[..., object]
-    name: str = ""
 
     def values_for(self, state: SparseState) -> np.ndarray:
         cols = [state._vals[:, state._col(r)] for r in self.inputs]
-        out = np.asarray(self.fn(*cols), dtype=np.int64)
-        if out.shape != (state.num_entries,):
-            out = np.broadcast_to(out, (state.num_entries,)).astype(np.int64)
-        return out
+        return np.asarray(self.fn(*cols), dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -441,3 +441,14 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, flag, str(tmp_path / "missing" / "out.jsonl"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "missing" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("qpa-compare", "--r", "6", "--m", "12", "--trials", "0"), "trials must be >= 1"),
+    (("factor", "--n", "0"), "n must be >= 1"),
+    (("audit", "--protocol", "psu"), "--sets and --universe are required"),
+], ids=["qpa-compare-trials", "factor-n", "audit-psu-sets"])
+def test_refused_input_exits_two_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

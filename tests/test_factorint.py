@@ -551,3 +551,17 @@ def test_factorize_matches_sympy(n, seed):
     result = factorize(n, rng)
     assert Counter(result.factors) == sympy.factorint(n)
     assert list(result.factors) == sorted(result.factors)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: order_find(2, 1, np.random.default_rng(0)), "modulus must be >= 2"),
+    (lambda: order_find(2, 129, np.random.default_rng(0)), "quantum order finding simulated only for N <= 128"),
+    (lambda: nth_prime(0), "prime index must be >= 1"),
+    (lambda: factorize(0), "N must be >= 1"),
+    (lambda: decode_set(0), "encoded set must be >= 1"),
+], ids=["order-modulus-1", "order-past-sim-limit", "nth-prime-0", "factorize-0", "decode-set-0"])
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

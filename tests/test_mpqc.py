@@ -542,20 +542,6 @@ class ReferenceTranscript:
         return True
 
 
-def reference_party_views(ctx, output) -> tuple[dict, ...]:
-    sent = dict.fromkeys(range(len(ctx.rngs)), 0)
-    received = dict.fromkeys(range(len(ctx.rngs)), 0)
-    for m in ctx.transcript.messages:
-        if isinstance(m.sender, int):
-            sent[m.sender] = sent.get(m.sender, 0) + 1
-        if isinstance(m.receiver, int):
-            received[m.receiver] = received.get(m.receiver, 0) + 1
-    return tuple(
-        {"party": i, "sent": sent[i], "received": received[i], "output": output}
-        for i in range(len(ctx.rngs))
-    )
-
-
 def reference_leakage_audit(result, secrets) -> AuditReport:
     """``leakage_audit`` over the expanded message list, verbatim."""
     secrets = [int(s) for s in secrets]
@@ -653,7 +639,6 @@ def test_pass_records_match_per_hop_reference(monkeypatch, kind, n_parties):
         res = _PROTOCOLS[kind](*args, seed=seed)
         with monkeypatch.context() as mp:
             mp.setattr(mpqc_mod, "Transcript", ReferenceTranscript)
-            mp.setattr(mpqc_mod, "_party_views", reference_party_views)
             ref = _PROTOCOLS[kind](*args, seed=seed)
         assert isinstance(ref.transcript, ReferenceTranscript)
 
@@ -937,3 +922,27 @@ def test_lcm_run_builds_no_records_for_its_settled_tail(monkeypatch):
         head = next((i + 1 for i in reversed(range(len(records))) if records[i].updated), 0)
         assert built_in_run == head < len(records)
         assert len(records) * 3 == trace.fourier_calls == res.counters["fourier_calls"]
+
+
+@pytest.mark.parametrize("protocol", [psu_protocol, psi_protocol], ids=["psu", "psi"])
+def test_one_party_set_protocol_is_refused(protocol):
+    with pytest.raises(ProtocolError, match=r"^need at least two parties$"):
+        protocol([{0}], 4)
+
+
+def test_loose_vote_result_that_is_not_boolean_is_a_violation():
+    res = lcm_protocol([4, 6], 5, seed=0)
+    res.transcript.log(KIND_INT, 0, BROADCAST, {"role": ROLE_VOTE_RESULT, "value": 1, "layer": 0})
+    report = leakage_audit(res, [4, 6])
+    assert report.violations == (f"message {len(res.transcript.messages) - 1}: vote result must be boolean",)
+
+
+def test_party_views_count_a_message_logged_after_the_run():
+    res = lcm_protocol([4, 6], 5, seed=0)
+    before = res.party_views
+    res.transcript.log(KIND_INT, 1, 0, {"role": ROLE_MASKED_MULTIPLE, "value": 12, "layer": 0})
+    after = res.party_views
+    assert [(v["sent"], v["received"]) for v in after] == [
+        (before[0]["sent"], before[0]["received"] + 1),
+        (before[1]["sent"] + 1, before[1]["received"]),
+    ]

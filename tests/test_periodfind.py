@@ -1233,3 +1233,15 @@ def test_period_equal_to_the_modulus_is_held_to_the_budget(monkeypatch, table):
     with pytest.raises(ValueError, match="budget") as info:
         _analyze(injective(12289))
     assert not isinstance(info.value, PromiseViolation)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PeriodicFunction(modulus=0, evaluator=lambda x: x), "modulus must be positive"),
+    (lambda: PeriodicFunction.modular(0, 4), "period must be positive"),
+    (lambda: eqpa(PeriodicFunction.modular(2, 4), np.random.default_rng(0), engine="nope"), "unknown engine 'nope'"),
+], ids=["modulus-0", "period-0", "unknown-engine"])
+def test_invalid_function_or_engine_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -151,6 +151,15 @@ class TestOracle:
         oracle = ClassicalOracle(("x",), "e", lambda x: (x * x) % 6)
         assert apply_oracle(apply_oracle(s, oracle), oracle, inverse=True).allclose(s)
 
+    def test_constant_oracle_adds_to_every_entry(self):
+        lay = RegisterLayout.of(("x", 4), ("e", 3))
+        s = uniform_prep(zero_state(lay), "x")
+        oracle = ClassicalOracle(("x",), "e", lambda x: 1)
+        out = apply_oracle(s, oracle)
+        assert out.num_entries == 4
+        assert all(out.amplitude((j, 1)) == pytest.approx(0.5) for j in range(4))
+        assert apply_oracle(out, oracle, inverse=True).allclose(s)
+
 
 class TestControlledSubtract:
     def test_equal_values_give_zero(self):
@@ -659,3 +668,18 @@ def test_measure_joint_of_empty_state_raises():
     empty = SparseState(lay, np.empty((0, 2), dtype=np.int64), np.empty(0))
     with pytest.raises(QStateError, match="no entries"):
         measure_joint(empty, ("h",), np.random.default_rng(0))
+
+
+_ONE_REGISTER = RegisterLayout.of(("x", 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegisterLayout.of(("x", 0)), "register 'x' has dimension 0 < 1"),
+    (lambda: basis_state(_ONE_REGISTER, [0, 1]), "wrong number of basis values for layout"),
+    (lambda: SparseState(_ONE_REGISTER, np.zeros((1, 2)), np.ones(1)), "basis value array shape does not match layout"),
+    (lambda: SparseState(_ONE_REGISTER, np.zeros((1, 1)), np.ones(2)), "amplitude array length does not match basis rows"),
+], ids=["zero-dimension", "basis-values", "vals-shape", "amps-length"])
+def test_malformed_layout_or_state_is_refused(call, message):
+    with pytest.raises(QStateError) as info:
+        call()
+    assert str(info.value) == message
