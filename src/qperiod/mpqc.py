@@ -149,12 +149,12 @@ class _Vote(NamedTuple):
 
     def _audit(self, idx: int, violations: list[str], layer_inputs: dict, secrets: list[int]) -> int:
         """Audit the vote, whose first message has index ``idx``, as :func:`leakage_audit` describes."""
-        n = len(layer_inputs.get(self.layer, secrets))
+        inputs = _inputs_of(self.layer, layer_inputs)
         values = [v for row in self.shares for v in row]
         values += self.tallies
         ints = {*map(type, values)} <= {int, bool} or all(isinstance(v, int) for v in values)
-        if not (ints and 0 <= min(values) and max(values) <= n and isinstance(self.candidate, int)
-                and self.candidate >= 2 and isinstance(self.result, bool)):
+        if not (inputs is not None and ints and 0 <= min(values) and max(values) <= len(inputs)
+                and isinstance(self.candidate, int) and self.candidate >= 2 and isinstance(self.result, bool)):
             for offset, msg in enumerate(self.messages()):
                 _check_message(msg, idx + offset, violations, layer_inputs, secrets)
         if ints:
@@ -518,13 +518,13 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
     Allowed: masked multiples of the sender's layer input (strictly larger
     and divisible), the public modulus, vote candidates/shares/tallies/
     results, and broadcast outputs.  Any unknown message role, any malformed
-    payload, and any raw secret value outside the exempt roles fails.
+    payload or layer, and any raw secret value outside the exempt roles fails.
 
-    A vote record is checked in bulk; only if some value in it is out of
-    form are its messages checked one by one, so violations name the same
-    message indices as an audit of the expanded ``messages``.  A vote must
-    also be consistent: each tally the sum of its share column mod n+1, and
-    the result true exactly when the tallies sum to 0 mod n+1.
+    A vote record is checked in bulk; only if its layer or some value in
+    it is out of form are its messages checked one by one, so violations
+    name the same message indices as an audit of the expanded ``messages``.
+    A vote must also be consistent: each tally the sum of its share column
+    mod n+1, and the result true exactly when the tallies sum to 0 mod n+1.
     """
     secrets = [int(s) for s in secrets]
     layer_inputs = {i: vals for i, (_, vals) in enumerate(result.layer_inputs)}
@@ -541,13 +541,21 @@ def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport
     return AuditReport(passed=not violations, violations=tuple(violations), messages_checked=checked)
 
 
+def _inputs_of(layer, layer_inputs: dict) -> tuple[int, ...] | None:
+    """The inputs of ``layer`` if it is an int (not a bool) naming a layer of the run, else None."""
+    return layer_inputs.get(layer) if type(layer) is int else None
+
+
 def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
                    layer_inputs: dict, secrets: list[int]) -> None:
     """Audit one classical message, the one at index ``idx`` of the expanded ``messages``."""
     role = msg.payload.get("role")
     value = msg.payload.get("value")
     layer = msg.payload.get("layer")
-    inputs = layer_inputs.get(layer, secrets)
+    basis = _inputs_of(layer, layer_inputs)
+    if basis is None and "layer" in msg.payload:
+        violations.append(f"message {idx}: malformed layer {layer!r}")
+    inputs = secrets if basis is None else basis
     n = len(inputs)
 
     if role == ROLE_MASKED_MULTIPLE:
@@ -578,7 +586,6 @@ def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
         # Well-formed masked values sit above their own layer's inputs by
         # construction, so scan against those; a message without a valid
         # layer (e.g. injected) is held against every known secret.
-        basis = layer_inputs.get(layer)
         if basis is None:
             basis = {*secrets, *(v for vals in layer_inputs.values() for v in vals)}
         if value in basis:

@@ -8,13 +8,16 @@ Any sampled index k with d*k != 0 (mod m) improves a maintained divisor d
 of r via d <- lcm(d, m/gcd(m, k)).
 
 The exact finder makes every round of that loop deterministic-in-success:
-for each j in -1..floor(log2 m) it marks outcomes (k, b) good when
+the round with window exponent j marks outcomes (k, b) good when
 rep(d*k) >= m/2, or when b = 1 and 0 < rep(d*k) <= 2^j, where rep is the
 representative of d*k mod m in [0, m).  When r/d is even the j = -1 round
-has good mass exactly 1/2, and when r/d is odd the round with
-j = ceil(log2(d*m/r)) does; a single amplitude amplification with phases i
+has good mass exactly 1/2, and when q = r/d is odd the round with
+j* = ceil(log2(m/q)) does; a single amplitude amplification with phases i
 then boosts the good mass to 1, so the measured index is informative with
-certainty.  The divisor at least doubles each sweep until it reaches r.
+certainty.  A sweep at d runs j = -1 and j = lo..floor(log2 m), where
+lo = ceil(log2(d*2^v)) for 2^v the largest power of two dividing m/d: an
+odd q divides the odd part of m/d, so j* >= lo.  So each d != r is updated
+(at least doubled) within its sweep, and the sweep of d = r ends the run.
 
 Two samplers drive the same loop: ``engine="block"`` evaluates the boosted
 measurement distribution in the invariant 2r-dimensional block basis
@@ -115,6 +118,19 @@ class PeriodicFunction:
 _CHUNK = 4096  # points per evaluator call of _analyze's scan
 
 
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """``SeedSequence(seed)``'s PCG64 state words, hashed once: ``PCG64(self)`` starts as ``default_rng(seed)``."""
+
+    def __init__(self, seed: int):
+        self.words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+_SPOT_SEEDS = _Seeded(0x5EED), _Seeded(0xD00D)
+
+
 def _analyze(f: PeriodicFunction) -> int:
     """Detect the exact period of ``f``, verify the promise and return the period.
 
@@ -154,8 +170,7 @@ def _analyze(f: PeriodicFunction) -> int:
     if whole is not None:
         periodic = bool((whole.reshape(-1, r) == whole[:r]).all())
     else:
-        x = np.random.default_rng(0x5EED).integers(0, m, size=64)
-        y = np.random.default_rng(0xD00D).integers(0, m, size=64)
+        x, y = (np.random.Generator(np.random.PCG64(seed)).integers(0, m, size=64) for seed in _SPOT_SEEDS)
         # (y + r) mod m; a sum past 2^63 only falls in lanes that take y - (m - r)
         shifted = np.where(y < m - r, y + r, y - (m - r))
         periodic = np.array_equal(f(np.concatenate((x, y))), f(np.concatenate((x % r, shifted))))
@@ -270,28 +285,27 @@ class EqpaRecord(NamedTuple):
 class EqpaTrace:
     """Per-iteration log of one exact period-finding run.
 
-    The settled tail of a run (every iteration from d = r on) is kept as
-    one private tuple: the sweep and Fourier counts before it, d, its js
-    and the sampler's ``settled`` outcomes, which may be read only once.
+    The settled tail of a run (the sweep at d = r) is kept as one private
+    tuple: its sweep number, the Fourier count before it, d, its js and
+    the sampler's ``settled`` outcomes, which may be read only once.
     No outcome there updates d, so the first read of ``records`` builds
     the tail's records from those alone and keeps them.
     """
 
     def __init__(self) -> None:
         self._records: list[EqpaRecord] = []
-        self._tail: tuple | None = None  # (sweeps, fourier_calls, d, js, outcomes)
+        self._tail: tuple | None = None  # (sweep, fourier_calls, d, js, outcomes)
         self.fourier_calls = 0  # each transform comes with one oracle pass, so this counts both
         self.sweeps = 0
 
     @property
     def records(self) -> list[EqpaRecord]:
         if self._tail is not None:
-            sweeps, calls, d, js, outcomes = self._tail
+            sweep, calls, d, js, outcomes = self._tail
             self._tail = None
             for j, (k, b, chi, mass) in zip(js, outcomes):
-                sweeps += j == -1
                 calls += 3
-                self._records.append(EqpaRecord(sweeps, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,
+                self._records.append(EqpaRecord(sweep, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,
                                                 False, d, calls))
         return self._records
 
@@ -313,79 +327,43 @@ class EqpaTrace:
 _TWO53 = 1 << 53  # numpy's doubles from rng.random() are U / 2^53 for an integer U < 2^53
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i < n} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1.
+def _mark_run(r: int, step: int, d: int, j: int) -> tuple[int, int]:
+    """(r', window) of the mark of (d, j), d | r, on the support k = step*t, t < r.
 
-    O(log m) steps of Euclid's algorithm (``floor_sum_unsigned`` in the
-    AtCoder Library's ``math.hpp``), in exact Python ints.
+    With r' = r/d the rep of d*k is step*d*v_t, v_t = t mod r': (k, b) is
+    good for both coins when v_t >= ceil(r'/2), and for b = 1 alone when
+    1 <= v_t <= window = min(floor(2^j / (step*d)), ceil(r'/2) - 1).  So on
+    the support the mark depends on j only through the window, 0 at d = r.
     """
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        y = a * n + b
-        if y < m:
-            return total
-        n, b = divmod(y, m)
-        m, a = a, m
-
-
-def _mark_run(r: int, step: int, d: int, j: int) -> tuple[int, int, int]:
-    """(r', a, window) of the mark of (d, j) on the support k = step*t, t < r.
-
-    With g = gcd(d, r), r' = r/g and a = (d/g) mod r', the rep of d*k is
-    step*g*v_t with v_t = (a*t) mod r', so (k, b) is good for both coins
-    when v_t >= ceil(r'/2) and for b = 1 alone when 1 <= v_t <= window =
-    min(floor(2^j / (step*g)), ceil(r'/2) - 1).  On the support, then, the
-    mark of (d, j) depends on j only through the window, which is 0 for
-    every j at d = r.
-    """
-    g = math.gcd(d, r)
-    rb = r // g
-    return rb, d // g % rb, min(((1 << j) if j >= 0 else 0) // (step * g), (rb + 1) // 2 - 1)
+    rb = r // d
+    return rb, min(((1 << j) if j >= 0 else 0) // (step * d), (rb + 1) // 2 - 1)
 
 
 class _Run:
     """The 2r' outcomes (t, b), t < r', of one copy in the block basis.
 
-    The outcomes are marked as :func:`_mark_run` describes.  With N = 2r'
-    outcomes of which G are good, a = G/N, the boost with both phases i
-    scales good amplitudes by 1 - 2i(1-a) and bad ones by -i(1-2a), so a
-    good outcome has weight N^2 + 4(N-G)^2 and a bad one (N-2G)^2, in
-    units of 1/(g N^3): a run sums to N^3.
+    The outcomes are marked as :func:`_mark_run` describes, with v_t = t.
+    With N = 2r' outcomes of which G are good, a = G/N, the boost with both
+    phases i scales good amplitudes by 1 - 2i(1-a) and bad ones by
+    -i(1-2a), so a good outcome has weight N^2 + 4(N-G)^2 and a bad one
+    (N-2G)^2, in units of 1/(d N^3): a run sums to N^3.
     """
 
-    __slots__ = ("rb", "a", "half", "window", "n_good", "w_good", "w_bad")
+    __slots__ = ("rb", "window", "half", "n_good", "w_good", "w_bad")
 
-    def __init__(self, rb: int, a: int, window: int):
-        self.rb, self.a, self.window = rb, a, window
+    def __init__(self, rb: int, window: int):
+        self.rb, self.window = rb, window
         self.half = (rb + 1) // 2
-        self.n_good = count = self.good_before(rb)
+        self.n_good = count = 2 * (rb - self.half) + window  # window < ceil(r'/2) <= r'
         n = 2 * rb
         self.w_good = n * n + 4 * (n - count) ** 2
         self.w_bad = (n - 2 * count) ** 2
 
     def good(self, t: int, b: int) -> bool:
-        v = self.a * t % self.rb
-        return v >= self.half or (b == 1 and 1 <= v <= self.window)
-
-    def good_before(self, t: int) -> int:
-        """Good outcomes among the 2t with support index below t.
-
-        #{s < t : v_s >= c} = floor_sum(t, r', a, r'-c) - floor_sum(t, r', a, 0).
-        """
-        rb, a = self.rb, self.a
-        count = 2 * (_floor_sum(t, rb, a, rb - self.half) - _floor_sum(t, rb, a, 0))
-        if self.window:
-            count += _floor_sum(t, rb, a, rb - 1) - _floor_sum(t, rb, a, rb - 1 - self.window)
-        return count
+        return t >= self.half or (b == 1 and 1 <= t <= self.window)
 
     def weight_before(self, t: int) -> int:
-        count = self.good_before(t)
+        count = 2 * max(0, t - self.half) + max(0, min(t - 1, self.window))  # good among the 2t below t <= r'
         return self.w_good * count + self.w_bad * (2 * t - count)
 
 
@@ -394,11 +372,12 @@ class _BlockSampler:
 
     The prepared state is uniform over 2r blocks (r support indices times
     the coin), and the boost acts by two scalar factors (good/bad).  The
-    rep of support index t has period r' = r/gcd(d, r) in t, so the 2r
-    outcomes are g = gcd(d, r) copies of one :class:`_Run`, whose good
-    counts are floor sums.  One rng draw walks the outcomes in
-    lexicographic order by a binary search on the integer cumulative
-    weight, so an iteration costs O(log^2 r') and allocates no array.
+    sampler takes d | r, as every divisor :func:`eqpa` holds is: the rep
+    of support index t then has period r' = r/d in t, so the 2r outcomes
+    are d copies of one :class:`_Run`, whose good counts have a closed
+    form.  One rng draw walks the outcomes in lexicographic order by a
+    binary search on the integer cumulative weight, so an iteration costs
+    O(log r') and allocates no array.
 
     At d = r the run is r' = 1: both outcomes (0, b) are bad with weight 4
     of N^3 = 8, so the draw U/2^53 picks k = floor(U*r/2^53)*step and b =
@@ -412,17 +391,13 @@ class _BlockSampler:
     def __init__(self, m: int, r: int):
         self.r, self.step = r, m // r
 
-    def run(self, d: int, j: int) -> _Run:
-        return _Run(*_mark_run(self.r, self.step, d, j))
-
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-        run = self.run(d, j)
+        run = _Run(*_mark_run(self.r, self.step, d, j))
         rb = run.rb
-        g = self.r // rb
-        # the draw u = U/2^53 picks copy q = floor(u*g) <= g - 1, then the
+        # the draw u = U/2^53 picks copy q = floor(u*d) <= d - 1, then the
         # first outcome of that copy whose cumulative weight exceeds
-        # (u*g - q)*N^3; weight_before(r') = N^3 bounds the search
-        q, rest = divmod(int(rng.random() * _TWO53) * g, _TWO53)
+        # (u*d - q)*N^3; weight_before(r') = N^3 bounds the search
+        q, rest = divmod(int(rng.random() * _TWO53) * d, _TWO53)
         target = rest * (2 * rb) ** 3
         lo, hi, below = 0, rb, 0  # weight_before(lo) * 2^53 <= target < weight_before(hi) * 2^53
         while hi - lo > 1:
@@ -474,7 +449,7 @@ class _ProgramSampler:
         self.marginals: dict[tuple[int, int], tuple[list, np.ndarray, float]] = {}
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-        key = d, _mark_run(self.r, self.step, d, j)[2]
+        key = d, _mark_run(self.r, self.step, d, j)[1]
         cached = self.marginals.get(key)
         if cached is None:
             program = marked_program(self.f, d, j)
@@ -493,6 +468,12 @@ class _ProgramSampler:
 
 # ---------------------------------------------------------------------------
 # the algorithms
+
+
+def _sweep(m: int, d: int) -> list[int]:
+    """The windows of a sweep at d, which the module docstring proves certify d: -1, then lo..floor(log2 m)."""
+    rest = m // d
+    return [-1, *range((d * (rest & -rest) - 1).bit_length(), m.bit_length())]
 
 
 def eqpa(
@@ -525,17 +506,13 @@ def eqpa(
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    sweep = list(range(-1, m.bit_length()))  # j = -1..floor(log2 m), m >= 1
     trace = EqpaTrace()
     records = trace.records
     d = 1
-    left = sweep  # the iterations still to run unless an outcome updates d
-    while left and d != r:
-        todo, left = left, []
-        for j in todo:
+    while d != r:  # one sweep per d: it updates d unless d = r
+        trace.sweeps += 1
+        for j in _sweep(m, d):
             k, b, chi, mass = sampler.sample(d, j, rng)
-            if j == -1:
-                trace.sweeps += 1
             trace.fourier_calls += 3  # A, A^{-1}, A each carry one transform
             informative = (d * k) % m != 0
             d_after = math.lcm(d, m // math.gcd(m, k)) if informative else d
@@ -545,14 +522,15 @@ def eqpa(
             if on_iteration is not None:
                 on_iteration(record)
             if informative:
-                # the rest of this sweep (j sits at index j + 1), then a
-                # full sweep to confirm d
-                d, left = d_after, sweep[j + 2:] + sweep
                 break
+        else:
+            break  # nothing updated d: the final check refuses it
+        d = d_after
     head = len(records)
-    if left:  # d = r: the rest of the run is settled
+    if d == r:  # the sweep that confirms d is settled
+        left = _sweep(m, d)
+        trace.sweeps += 1
         trace._tail = (trace.sweeps, trace.fourier_calls, d, left, sampler.settled(d, left, rng))
-        trace.sweeps += 1  # the tail holds one j = -1: the sweep that confirms d
         trace.fourier_calls += 3 * len(left)
     if on_iteration is not None:
         for record in trace.records[head:]:

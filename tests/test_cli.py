@@ -365,20 +365,20 @@ def test_modulus_past_two_to_the_63_names_the_bound(capsys, argv):
 # runs: the bytes must stay the same from one version of the code to the next.
 _GOLDEN = [
     (("lcm", "--inputs", "4,6,10", "--bits", "5", "--seed", "1"),
-     "261186f9adbb7cab697f2f09c05148244baa78b448dd3539f14565901d2e7d86",
-     "3cab103df1182add666930747b397f052f4e200441d9ea9785b7f1e0181a63ca"),
+     "879d2071a07684bc506e14abdfe266ba3a9c0917f1d4da55ca98f4c172d204ae",
+     "d5a153e87a4c808a1c4c962b6ea655e0a4367e114a13944282e59d37b2752706"),
     (("gcd", "--inputs", "12,18", "--bits", "5"),
-     "cc0e11e5c50b2beda8228730f2d043e2dd9e55eb750617169abd4b8fc56e1684",
-     "67bfd2ad9107e78809ef09583b27851c6a6901a0d76866cb1dfee4bc004e7ce7"),
+     "161ec91295ff56c74102791b9c1904023cc36648ecf37ee8c55b6870737ec5c5",
+     "789d01f89bc955da3c891a0be05d6180cb4e3a5cbaee2a17c3647aec1f9b7cf0"),
     (("gcd", "--inputs", "245,175,35", "--bits", "8", "--seed", "4"),
-     "8c6832448c3253cebf157d9104629b0eab8c25268e2be2310e4cd3fc80d26249",
-     "a2ccaffc68b24b9b62471400fd4ddc945e9acd9ddce4131bb31ced5a097dc78c"),
+     "2839c57207cde1338a77d8d0ccba3fa132c043529870ea92b9683ac637a217b2",
+     "cb6fafb5f0d24b98903df3ab5ebadad7e91bb1edffbaf519f462f64c1e5aa0ec"),
     (("psu", "--sets", "1,2;2,3", "--universe", "4"),
-     "53ea65592c4af9ecf7d860a4c5cbbb565a48ff6bbc6c705639e36ec2aea5b980",
-     "9d6cb562d999102527b843e600a24674e6155075c9a58762e259de5f908ffdd3"),
+     "e775784bffd36b933ea8b4bebd7480a0bda9313930f27309add4db965a0cf814",
+     "beb5753f6897262077e83bb05c91a536facb7616314372aa0949a18281aebde4"),
     (("psi", "--sets", "1,2;2,3", "--universe", "4"),
-     "c1c31e57e5cd4cef0112fcd216639c76b32460e03c0b1238ec9cda580080d4dd",
-     "ba2e4302abf9c6dc5b7b077077e2e56a8ec55432dc5e551f07b36d8b02ebdca1"),
+     "aedd0d2b5f45da120bb71c443c898b88d8ff3c1a946f07d6649a4b5ca89ff7dc",
+     "fe52fb5e9a72d2a31067c50a6628a80752fe952150c0676451b07cbb2eecd2f5"),
 ]
 
 
@@ -394,21 +394,21 @@ def test_protocol_bytes_match_recorded_digests(tmp_path, capsys, argv, stdout_sh
 def test_audit_bytes_match_recorded_digest(capsys):
     code, out, _ = run_cli(capsys, "audit", "--protocol", "psi", "--sets", "1,2;2,3", "--universe", "4")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "df46cd7f312f2abffe174df96f5504692de7d83aa6b08512761a0f34c641a288"
+    assert hashlib.sha256(out.encode()).hexdigest() == "4dc6426951584a1a0b0337fb527a6b3db1cff2b95b6e84af87b5e14f4d91c2dc"
 
 
 # SHA-256 of the stdout (and of the --trace file, where one is written) of
 # fixed-seed runs of the commands that run no protocol.
 _GOLDEN_SINGLE_RUN = [
     (("eqpa", "--r", "4", "--m", "16", "--seed", "0"),
-     "3e76bb39463d08dc1b34c727f7229e8cb54aea0a0f5492ec9dafa42619309a10",
-     "19c175b764b3e5de7a9e0c670f58bc7805a68d89faa254282d4727f370bc7486"),
+     "a37c6c217737494e68808c773be97e1dd81c637d8efcb14daeed75231d604c8c",
+     "8b1d18ae8024607134826d17f0fa27c9bc9949f160b84d8a2f87a45e5c139d83"),
     (("qpa-compare", "--r", "6", "--m", "12", "--trials", "50", "--seed", "0"),
-     "5720a8f84fd891b03e2562fe09b7c6d9947866147e09bce11714e7c1c1b2e6d6", None),
+     "314f86418db2a17cf42a7870ddc646c8c4832f4b2dbfdb4feb1b6606226f5a4d", None),
     (("factor", "--n", "60", "--seed", "5"),
      "6accecf98421a708262121b51440ecdc901dcb19cfbb8881f3100630b89a2648", None),
     (("bench", "--r", "4", "--m", "16", "--trials", "20", "--seed", "9"),
-     "4c79a265fecada15cbc5f4fa316fc73883b8d2197cfbd0a5eff970d80bfd3d4a", None),
+     "b266351150016edcdcee45c991d9e9e46165d9bb6ddd0d15ae82ab22aa9d2d64", None),
     (("bench", "--algo", "qpa", "--r", "6", "--m", "12", "--trials", "50", "--seed", "3"),
      "456242c36fff046bf1d94eadf7ade5e4d10249f489859d7ffa3c60e8a608d58d", None),
 ]

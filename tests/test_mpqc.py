@@ -706,6 +706,22 @@ def test_non_int_field_is_a_violation_not_an_exception(field, value):
         assert violation.startswith(f"message {len(res.transcript.messages) - 1}: ")
 
 
+@pytest.mark.parametrize("layer", [[0], 0.0, True, "0"], ids=["list", "float", "bool", "str"])
+def test_malformed_layer_is_a_violation_not_an_exception(layer):
+    # 48 is a masked multiple of party 1's 6 in layer 0, so only the layer is at fault
+    res = lcm_protocol([4, 6], 5, seed=0)
+    res.transcript.log(KIND_INT, 1, 0, {"role": ROLE_MASKED_MULTIPLE, "value": 48, "layer": layer})
+    report = leakage_audit(res, [4, 6])
+    assert report.violations == (f"message {len(res.transcript.messages) - 1}: malformed layer {layer!r}",)
+
+    # a vote record under a malformed layer is audited message by message
+    res, secrets, at = _first_vote()
+    res.transcript._log[at] = vote = res.transcript._log[at]._replace(layer=layer)
+    start = sum(entry.size for entry in res.transcript._log[:at])
+    report = leakage_audit(res, secrets)
+    assert report.violations == tuple(f"message {start + i}: malformed layer {layer!r}" for i in range(vote.size))
+
+
 @pytest.mark.parametrize("sender", [-1, True])
 def test_masked_multiple_from_a_non_party_sender_is_a_violation(sender):
     # 12 is a masked multiple of both inputs, so only the sender is at fault:
@@ -722,9 +738,9 @@ def test_lcm_run_logs_its_ring_passes_as_one_record():
     primes = [4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161, 4294967143, 4294967111]
     res = lcm_protocol(primes, 32, seed=1)
     assert res.output == math.prod(primes)
-    # 7 masked multiples, the modulus, the run's 1590 ring passes, the result
+    # 7 masked multiples, the modulus, the run's 6 ring passes, the result
     assert len(res.transcript._log) == 10
-    assert len(res.transcript.messages) == 9 + 8 * 1590 == 12729
+    assert len(res.transcript.messages) == 9 + 8 * 6 == 57
     assert leakage_audit(res, primes).passed
 
     # the last pass ends at party 0: a hop on it from party 1 breaks its ring,
@@ -753,9 +769,10 @@ def _sweep_case(kind, n_parties, seed):
     return (sets, universe), [encode_set(s) for s in sets]
 
 
-# The digest of the sweep below as the per-message log produced it, before
-# votes and EQPA's settled tail became records.
-_SWEEP_SHA256 = "c07deb985e2b625b0dcd23da4978937030eda05efd714543606e1a60c78cba3f"
+# The digest of the sweep below as the per-message log (ReferenceTranscript
+# and reference_leakage_audit) produces it, with EQPA sweeping only the
+# windows that certify each divisor.
+_SWEEP_SHA256 = "9cf24ce55456cdbbbb072d2f0a70cc7146beb818f94692414ebaa8dd91f12339"
 
 
 def test_seeded_sweep_is_byte_identical_to_the_per_message_log():

@@ -25,7 +25,7 @@ from qperiod.periodfind import (
 )
 from qperiod.amplify import boost_from_half
 from qperiod import periodfind
-from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check, _floor_sum
+from qperiod.periodfind import _MAX_PERIOD, _analyze, _BlockSampler, _final_check
 from qperiod.qstate import QStateError, good_mass, measure_joint
 
 
@@ -328,8 +328,8 @@ def _full_length_sample(m, r, d, j, rng):
 def _sampler_cases(draw):
     r = draw(st.integers(1, 1 << 14))
     m = r * draw(st.integers(1, 8))
-    d = draw(st.sampled_from([x for x in range(1, math.isqrt(m) + 1) if m % x == 0]))
-    d = draw(st.sampled_from(sorted({d, m // d})))
+    d = draw(st.sampled_from([x for x in range(1, math.isqrt(r) + 1) if r % x == 0]))
+    d = draw(st.sampled_from(sorted({d, r // d})))  # eqpa's divisors all divide r
     j = draw(st.integers(-1, m.bit_length() - 1))
     return m, r, d, j, draw(st.integers(0, 2**32 - 1))
 
@@ -351,6 +351,16 @@ def test_block_sampler_matches_full_length_walk():
 
     check()
     assert any(1 < rb < r for rb, r in run_lengths)
+
+
+@pytest.mark.parametrize("m", [4097, 10**6, 1 << 40, 1 << 63])
+def test_spot_points_are_the_seeded_default_rng_draws(m):
+    calls = []
+    f = PeriodicFunction(modulus=m, evaluator=lambda x: calls.append(x.copy()) or x % 1)
+    assert _analyze(f) == 1
+    want = [np.random.default_rng(seed).integers(0, m, size=64) for seed in (0x5EED, 0xD00D)]
+    assert len(calls) == 3  # the scan's first chunk, then the spot points and their shifts
+    assert np.array_equal(calls[1], np.concatenate(want))
 
 
 def test_in_period_collision_rejected_on_sampled_branch():
@@ -451,20 +461,7 @@ def test_engines_agree_on_wider_generic_permutations(r, m):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form walk: floor sums, weights, exact ties
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(0, 300),
-    m=st.integers(1, 1 << 40),
-    a=st.integers(0, 1 << 64),
-    b=st.integers(0, 1 << 64),
-)
-@example(n=0, m=1, a=0, b=0)
-@example(n=7, m=1, a=0, b=5)
-def test_floor_sum_matches_brute_force(n, m, a, b):
-    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+# the closed-form walk: weights, exact ties
 
 
 @st.composite
@@ -473,9 +470,8 @@ def _wide_sampler_cases(draw):
     g = draw(st.integers(1, 4))
     c = draw(st.integers(1, 4))
     r, m = rb * g, rb * g * c
-    d = draw(st.sampled_from([g, g * c]))
     j = draw(st.integers(-1, m.bit_length() - 1))
-    return m, r, d, j, draw(st.integers(0, 2**32 - 1))
+    return m, r, g, j, draw(st.integers(0, 2**32 - 1))  # d = g: the run is r' = rb
 
 
 def test_block_sampler_matches_full_length_walk_at_wide_runs():
@@ -507,15 +503,14 @@ def test_block_sampler_matches_full_length_walk_at_wide_runs():
 @pytest.mark.parametrize("r, m", [(1, 4), (3, 12), (4, 8), (6, 12), (12, 24), (10, 40)])
 def test_block_sampler_weights_are_boosted_state_masses(r, m):
     f = PeriodicFunction.modular(r, m)
-    sampler = _BlockSampler(m, r)
     step = m // r
-    for d in (x for x in range(1, m + 1) if m % x == 0):
+    for d in (x for x in range(1, r + 1) if r % x == 0):
         for j in range(-1, m.bit_length()):
             boost = boost_from_half(marked_program(f, d, j), goodness(d, m, j))
             masses = {}
             for (k, _, b, _), amp in boost.state.entries():
                 masses[k, b] = masses.get((k, b), 0.0) + abs(amp) ** 2
-            run = sampler.run(d, j)
+            run = periodfind._Run(*periodfind._mark_run(r, step, d, j))
             n_cube = (2 * run.rb) ** 3
             assert run.w_good * run.n_good + run.w_bad * (2 * run.rb - run.n_good) == n_cube
             for k in range(m):
@@ -561,7 +556,7 @@ def _exact_full_length_sample(m, r, d, j, u):
 def test_block_sampler_resolves_exact_ties(r, c):
     m = r * c
     sampler = _BlockSampler(m, r)
-    for d in (x for x in range(1, m + 1) if m % x == 0):
+    for d in (x for x in range(1, r + 1) if r % x == 0):
         g = math.gcd(d, r)
         # rng.random() draws are multiples of 2^-53: take the first, the
         # last, the middle, and the two nearest each copy boundary q/g for
@@ -658,7 +653,7 @@ def _cache_sweep_functions():
 
 
 def test_program_engine_matches_a_fresh_boost_per_iteration(monkeypatch):
-    repeats = 0
+    hits = 0  # iterations that draw from a marginal an earlier one boosted
     for seed, f in enumerate(_cache_sweep_functions()):
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         p1, t1 = eqpa(f, rngs[0], engine="program")
@@ -668,8 +663,9 @@ def test_program_engine_matches_a_fresh_boost_per_iteration(monkeypatch):
         assert p1 == p2
         assert t1 == t2  # records, good_mass floats included, and counters
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-        repeats += len(t1.records) - len({(rec.d_before, rec.j) for rec in t1.records})
-    assert repeats > 0
+        keys = {(rec.d_before, _support_window(p1, f.modulus, rec.d_before, rec.j)) for rec in t1.records}
+        hits += len(t1.records) - len(keys)
+    assert hits > 0
 
 
 def _support_window(r, m, d, j):
@@ -687,7 +683,7 @@ def test_program_engine_boosts_each_distinct_good_set_once(monkeypatch):
         return operator(program, good, *args)
 
     monkeypatch.setattr(periodfind, "amplification_operator", counting)
-    r, m = 24, 96
+    r, m = 24, 216  # m/r = 9: the settled sweep at d = r runs j = -1, 5, 6, 7, all of window 0
     perm = np.random.default_rng(24).permutation(r)
     for seed in range(3):
         boosted.clear()
@@ -726,7 +722,7 @@ def test_mark_key_is_exactly_the_good_set_on_the_support(r):
         bits = {}
         for d in (x for x in range(1, r + 1) if r % x == 0):
             for j in range(-1, m.bit_length()):
-                key = d, periodfind._mark_run(r, step, d, j)[2]
+                key = d, periodfind._mark_run(r, step, d, j)[1]
                 assert key[1] == _support_window(r, m, d, j)
                 bits.setdefault(key, set()).add(goodness(d, m, j).fn(k, b).tobytes())
         assert all(len(patterns) == 1 for patterns in bits.values())
@@ -883,12 +879,26 @@ def test_spot_checked_branch_rejects_repeats_and_non_dividing_returns(table):
 
 
 # ---------------------------------------------------------------------------
-# the settled tail against the per-iteration loop
+# the sweep schedule, and the settled tail against the per-iteration loop
 
 
-def _per_iteration_eqpa(f, rng):
+def _certifying_sweep(m, d):
+    """j = -1, then every j with 2^j >= d * 2^v, 2^v the largest power of
+    two dividing m/d: eqpa's sweep at d, written out."""
+    two = 1
+    while (m // d) % (2 * two) == 0:
+        two *= 2
+    return [-1] + [j for j in range(m.bit_length()) if 2**j >= d * two]
+
+
+def _per_iteration_eqpa(f, rng, pruned=True):
     """The block engine's loop with one ``sample`` call, and one rng draw,
-    per iteration, settled or not: the reference for the batched tail."""
+    per iteration, settled or not: the reference for the batched tail.
+
+    ``pruned`` runs eqpa's schedule: the windows of :func:`_certifying_sweep`,
+    starting a new sweep at each update.  Otherwise it runs the paper's full
+    schedule: every j = -1..floor(log2 m), sweep after sweep, until a whole
+    sweep updates nothing."""
     sampler = _BlockSampler(f.modulus, _analyze(f))
     m = f.modulus
     trace = EqpaTrace()
@@ -896,7 +906,7 @@ def _per_iteration_eqpa(f, rng):
     while True:
         trace.sweeps += 1
         swept_update = False
-        for j in range(-1, m.bit_length()):
+        for j in _certifying_sweep(m, d) if pruned else range(-1, m.bit_length()):
             k, b, chi, mass = sampler.sample(d, j, rng)
             trace.fourier_calls += 3
             informative = (d * k) % m != 0
@@ -919,8 +929,46 @@ def _per_iteration_eqpa(f, rng):
             if informative:
                 d = d_after
                 swept_update = True
+                if pruned:
+                    break
         if not swept_update:
             return d, trace
+
+
+def test_every_sweep_holds_a_window_of_half_mass():
+    # d | r | m with d != r: some window of the sweep at d has good mass
+    # exactly 1/2 (n_good = r' of the 2r' outcomes of a run), so its boost
+    # updates d with certainty
+    cases = 0
+    for m in range(1, 1025):
+        divisors = [x for x in range(1, m + 1) if m % x == 0]
+        for r in divisors:
+            for d in (x for x in divisors if r % x == 0 and x != r):
+                cases += 1
+                runs = [periodfind._Run(*periodfind._mark_run(r, m // r, d, j)) for j in periodfind._sweep(m, d)]
+                assert any(run.n_good == r // d for run in runs), (m, r, d)
+    assert cases == 23081
+
+
+@st.composite
+def _permutation_functions(draw):
+    """f(x) = perm[x mod r] on Z_m, m <= 2^12, for a seeded permutation of Z_r."""
+    m = draw(st.integers(1, 1 << draw(st.integers(0, 12))))
+    r = draw(st.sampled_from([x for x in range(1, m + 1) if m % x == 0]))
+    perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(r)
+    return perm[np.arange(m) % r], r
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_permutation_functions(), seed=st.integers(0, 2**32 - 1))
+def test_pruned_sweeps_find_the_period_in_no_more_fourier_calls(case, seed):
+    table, r = case
+    f = PeriodicFunction.from_table(table)
+    full_period, full = _per_iteration_eqpa(f, np.random.default_rng(seed), pruned=False)
+    for engine in ("block", "program") if len(table) <= 128 else ("block",):
+        period, trace = eqpa(f, np.random.default_rng(seed), engine=engine)
+        assert period == full_period == r
+        assert trace.fourier_calls <= full.fourier_calls
 
 
 def test_settled_tail_matches_per_iteration_loop():
@@ -941,9 +989,11 @@ def test_settled_tail_matches_per_iteration_loop():
         seen_records = []
         period, trace = eqpa(f, rng, on_iteration=seen_records.append)
         ref_period, ref = _per_iteration_eqpa(f, ref_rng)
-        assert period == ref_period == r
+        full_period, full = _per_iteration_eqpa(f, np.random.default_rng(seed), pruned=False)
+        assert period == ref_period == full_period == r
         assert trace.records == ref.records == seen_records
         assert (trace.fourier_calls, trace.sweeps) == (ref.fourier_calls, ref.sweeps)
+        assert trace.fourier_calls <= full.fourier_calls
         assert rng.random() == ref_rng.random()
         if r == 1:
             seen.add("r = 1")
@@ -966,6 +1016,8 @@ def test_settled_tail_is_expanded_once_into_the_hooked_records(engine):
         _, lazy = eqpa(f, rng, engine=engine)
         ref_rng = np.random.default_rng(seed)
         _, ref = _per_iteration_eqpa(f, ref_rng)
+        full_period, full = _per_iteration_eqpa(f, np.random.default_rng(seed), pruned=False)
+        assert full_period == r and lazy.fourier_calls <= full.fourier_calls
         assert lazy._tail is not None and hooked._tail is None
         first = lazy.records
         assert lazy._tail is None
