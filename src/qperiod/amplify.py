@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qstate import (
     ClassicalOracle,
     GoodPredicate,
@@ -52,7 +50,7 @@ class PrepStep:
 
     def apply(self, state: SparseState) -> SparseState:
         col = state.layout.index(self.reg)
-        if not np.any(state._vals[:, col]):
+        if not state._vals[:, col].any():
             return uniform_prep(state, self.reg)
         return dft(state, self.reg)
 
@@ -149,7 +147,7 @@ def amplification_operator(
     state = program.apply_inverse(state)
     state = phase_flip(state, zero_predicate(program.layout), phase_zero)
     state = program.apply(state)
-    return SparseState(state.layout, state._vals, -state._amps)
+    return state._replace(state._vals, -state._amps)
 
 
 def boost_from_half(program: ReversibleProgram, good: GoodPredicate) -> BoostResult:

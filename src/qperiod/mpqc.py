@@ -73,7 +73,7 @@ class TranscriptMessage:
         return (self,)
 
     def _audit(self, idx: int, violations: list[str], layer_inputs: dict, secrets: list[int]) -> int:
-        if self.kind == KIND_HANDOFF:
+        if self.kind == KIND_HANDOFF and isinstance(self.payload, dict):
             return 0  # a handoff moves registers, not values: the chain check walks it
         _check_message(self, idx, violations, layer_inputs, secrets)
         return 1
@@ -233,7 +233,7 @@ class Transcript:
         last_by_pass: dict[int, int] = {}  # the last receiver on each pass
         for m in self.messages:
             if m.kind == KIND_HANDOFF:
-                p = m.payload.get("pass")
+                p = m.payload.get("pass") if isinstance(m.payload, dict) else None
                 if type(p) is not int or last_by_pass.get(p, m.sender) != m.sender:  # a bool is no pass either
                     return False
                 last_by_pass[p] = m.receiver
@@ -503,13 +503,13 @@ class AuditReport:
     messages_checked: int
 
 
-_EQUALITY_EXEMPT = {
+_EQUALITY_EXEMPT = (  # a tuple: an unhashable role is compared, not hashed, so it is an unknown role
     ROLE_RESULT,
     ROLE_VOTE_CANDIDATE,
     ROLE_VOTE_SHARE,
     ROLE_VOTE_TALLY,
     ROLE_VOTE_RESULT,
-}
+)
 
 
 def leakage_audit(result: ProtocolResult, secrets: Sequence[int]) -> AuditReport:
@@ -549,6 +549,9 @@ def _inputs_of(layer, layer_inputs: dict) -> tuple[int, ...] | None:
 def _check_message(msg: TranscriptMessage, idx: int, violations: list[str],
                    layer_inputs: dict, secrets: list[int]) -> None:
     """Audit one classical message, the one at index ``idx`` of the expanded ``messages``."""
+    if not isinstance(msg.payload, dict):
+        violations.append(f"message {idx}: malformed payload {msg.payload!r}")
+        return
     role = msg.payload.get("role")
     value = msg.payload.get("value")
     layer = msg.payload.get("layer")

@@ -72,6 +72,14 @@ class RegisterLayout:
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
+    @cached_property
+    def _dft_strides(self) -> np.ndarray | None:
+        """Row c: place values that key a row by the other registers, then by register c; None past int64."""
+        place = _radix(self.dims)
+        return None if place is None else np.array(
+            [[1 if i == c else v * (d if i > c else 1) for i, v in enumerate(place)] for c, d in enumerate(self.dims)],
+            dtype=np.int64)
+
     def index(self, name: str) -> int:
         try:
             return self._positions[name]
@@ -132,6 +140,10 @@ class SparseState:
     # -- internal helpers ----------------------------------------------
 
     def _replace(self, vals: np.ndarray, amps: np.ndarray) -> "SparseState":
+        if vals.dtype == np.int64 and amps.dtype == np.complex128 and vals.flags.c_contiguous and amps.flags.c_contiguous:
+            new = SparseState.__new__(SparseState)  # arrays as the constructor leaves them: skip its copies and checks
+            new.layout, new._vals, new._amps = self.layout, vals, amps
+            return new
         return SparseState(self.layout, vals, amps)
 
     def _col(self, reg: str) -> int:
@@ -152,10 +164,6 @@ class ClassicalOracle:
     inputs: tuple[str, ...]
     output: str
     fn: Callable[..., object]
-
-    def values_for(self, state: SparseState) -> np.ndarray:
-        cols = [state._vals[:, state._col(r)] for r in self.inputs]
-        return np.asarray(self.fn(*cols), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -210,31 +218,28 @@ def uniform_prep(state: SparseState, reg: str) -> SparseState:
     """
     col = state._col(reg)
     d = state.layout.dims[col]
-    if np.any(state._vals[:, col] != 0):
+    if state._vals[:, col].any():
         raise QStateError(f"uniform_prep requires register {reg!r} to be 0 everywhere")
     if d == 1:
         return state
     n = state.num_entries
     if n * d > _MAX_DFT_OUTPUT:
         raise QStateError("uniform preparation exceeds sparse capacity")
-    vals = np.repeat(state._vals, d, axis=0)
-    vals[:, col] = np.tile(np.arange(d, dtype=np.int64), n)
-    amps = np.repeat(state._amps / math.sqrt(d), d)
-    return state._replace(vals, amps)
+    vals = state._vals.repeat(d, axis=0)
+    vals.reshape(n, d, -1)[:, :, col] = np.arange(d)
+    return state._replace(vals, (state._amps / math.sqrt(d)).repeat(d))
 
 
 def apply_oracle(state: SparseState, oracle: ClassicalOracle, inverse: bool = False) -> SparseState:
     """Accumulate (or un-accumulate) the oracle value into its output register."""
-    for r in (*oracle.inputs, oracle.output):
-        state._col(r)  # raises on unknown register
+    cols = [state._col(r) for r in oracle.inputs]  # raises on an unknown register
     out_col = state._col(oracle.output)
     d = state.layout.dims[out_col]
-    fvals = oracle.values_for(state) % d
+    fvals = np.asarray(oracle.fn(*(state._vals[:, c] for c in cols)), dtype=np.int64) % d
     vals = state._vals.copy()
-    if inverse:
-        vals[:, out_col] = (vals[:, out_col] - fvals) % d
-    else:
-        vals[:, out_col] = (vals[:, out_col] + fvals) % d
+    out = vals[:, out_col]  # a view: the updates write into vals
+    (np.subtract if inverse else np.add)(out, fvals, out=out)
+    out %= d
     return state._replace(vals, state._amps)
 
 
@@ -261,37 +266,41 @@ def phase_flip(state: SparseState, predicate: GoodPredicate, phase: complex) -> 
     phase = complex(phase)
     if abs(abs(phase) - 1.0) > 1e-12:
         raise QStateError(f"phase {phase} is not of unit modulus")
-    mask = predicate.mask(state)
-    amps = state._amps.copy()
-    amps[mask] *= phase
-    return state._replace(state._vals, amps)
+    return state._replace(state._vals, np.where(predicate.mask(state), state._amps * phase, state._amps))
 
 
 def zero_predicate(layout: RegisterLayout) -> GoodPredicate:
     """Predicate selecting the all-zero basis tuple."""
 
     def all_zero(*cols):
-        mask = np.ones_like(cols[0], dtype=bool)
-        for c in cols:
-            mask &= c == 0
-        return mask
+        return np.bitwise_or.reduce(cols) == 0
 
     return GoodPredicate(layout.names, all_zero, name="zero")
 
 
-def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the equal rows of a non-empty 2-D array with one stable sort.
+def _radix(dims: Sequence[int]) -> list[int] | None:
+    """Place values of a mixed-radix row key over ``dims``; None past int64."""
+    return None if math.prod(dims) >> 63 else [math.prod(dims[i + 1 :]) for i in range(len(dims))]
 
-    Returns ``(order, starts, sizes)``: group g holds the row indices
-    ``order[starts[g]:starts[g] + sizes[g]]`` in ascending order, and the
-    groups follow the lexicographic order of their rows, the order
-    ``np.unique(keys, axis=0)`` gives.
-    """
-    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(keys.shape[0])
-    srt = keys[order]
-    new = (srt[1:] != srt[:-1]).any(axis=1)
-    bounds = np.concatenate(([True], new, [True])).nonzero()[0]
-    return order, bounds[:-1], bounds[1:] - bounds[:-1]
+
+def _row_key(rows: np.ndarray, radix: list[int] | None) -> np.ndarray:
+    """An int64 per row that sorts as the rows do: ``rows @ radix``, else the row's rank by one lexsort."""
+    if radix is not None:
+        return rows @ radix
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    return np.concatenate(([0], (srt[1:] != srt[:-1]).any(axis=1).cumsum()))[order.argsort()]
+
+
+def _group_rows(key: np.ndarray, d: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort rows by their int64 ``key`` with one stable argsort and group them by
+    ``key // d``: returns the order, each sorted row's ``key % d``, the group starts
+    and each sorted row's group.  Keys from :func:`_row_key` sort as their rows do,
+    so the groups follow the rows' lexicographic order."""
+    order = key.argsort(kind="stable")
+    high, low = np.divmod(key[order], d)
+    new = np.concatenate(([True], high[1:] != high[:-1]))
+    return order, low, new.nonzero()[0], new.cumsum() - 1
 
 
 def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
@@ -303,14 +312,17 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     arithmetic progression ``a + p*s`` with ``p | d`` (p is the gcd of the
     offsets and d), so the transform reduces to a length-(d/p) FFT plus an
     exact twiddle whose angle is reduced modulo d before any trigonometry.
+    One stable argsort of an int64 key (the other registers in mixed radix,
+    then this one) groups the entries, values ascending; past int64,
+    ``np.lexsort`` ranks the other registers, with the same output bytes.
     Groups of equal length L are transformed together, one 2-D FFT per
-    chunk of at most ``_DFT_CHUNK_CELLS`` cells, and bins below
-    ``PRUNE_EPS`` are dropped.  Once the outputs are counted, each kept bin
-    b expands into its d/L outputs c = b + L*t, in the order the bins were
-    kept.  That is the documented order for one length: groups in
-    lexicographic order of the other registers, each group's outputs by
-    spectrum bin, then by copy.  For several lengths, one stable sort on
-    the group restores it.
+    chunk of at most ``_DFT_CHUNK_CELLS`` cells (several lengths first sort
+    the groups by length), and bins below ``PRUNE_EPS`` are dropped.  Once
+    the outputs are counted, each kept bin b expands into its d/L outputs
+    c = b + L*t, in the order the bins were kept.  That is the documented
+    order for one length: groups in lexicographic order of the other
+    registers, each group's outputs by spectrum bin, then by copy.  For
+    several lengths, one stable sort on the group restores it.
     """
     col = state._col(reg)
     d = state.layout.dims[col]
@@ -319,12 +331,12 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     if d == 1 or state.num_entries == 0:
         return state
 
-    others = [i for i in range(state._vals.shape[1]) if i != col]
-    order, starts, sizes = _group_rows(state._vals[:, others])
-    gid = np.arange(len(starts)).repeat(sizes)  # group of each sorted entry
-    j = state._vals[order, col]
+    strides = state.layout._dft_strides  # None past int64: rank the other registers' rows
+    key = state._vals @ strides[col] if strides is not None else (
+        _row_key(np.delete(state._vals, col, axis=1), None) * d + state._vals[:, col])
+    order, j, starts, gid = _group_rows(key, d)
     amp = state._amps[order]
-    a0 = np.minimum.reduceat(j, starts)
+    a0 = j[starts]
     diffs = j - a0[gid]
     p = np.gcd(np.gcd.reduceat(diffs, starts), d)  # gcd(0, d) == d for single entries
     length = d // p
@@ -333,28 +345,35 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
     # a chunk buffer holds max(_DFT_CHUNK_CELLS, L) cells at most: check L first
     if lens[-1] > _MAX_DFT_OUTPUT:
         raise QStateError("DFT buffer exceeds sparse capacity")
+    first = state._vals[order[starts]]
+    if len(lens) > 1:  # renumber the groups by length, stably, and move their entries along
+        by_len = length.argsort(kind="stable")
+        gid = by_len.argsort()[gid]
+        moved = gid.argsort(kind="stable")
+        gid, pos, amp = gid[moved], pos[moved], amp[moved]
+        length, a0, first = length[by_len], a0[by_len], first[by_len]
     cut = PRUNE_EPS * math.sqrt(d)
     inv_sqrt_d = 1.0 / math.sqrt(d)
     a0 = -a0 if inverse else a0  # the inverse twiddle conjugates: exponent -c*a mod d
-    total, kept = 0, []
-    for L in lens:
-        of_len = length == L
-        groups = of_len.nonzero()[0]
-        rows = of_len[gid].nonzero()[0]  # their entries, in group order
-        slot = (of_len.cumsum() - 1)[gid[rows]]  # matrix row of each entry
+    total, kept, end = 0, [], 0
+    for L in lens:  # its groups are q..end-1, their entries contiguous
+        q, end = end, int(length.searchsorted(L, "right"))
         per = max(1, _DFT_CHUNK_CELLS // L)
-        for q in range(0, len(groups), per):
-            lo, hi = slot.searchsorted((q, q + per)).tolist()
-            mat = np.zeros((min(per, len(groups) - q), L), dtype=np.complex128)
-            mat[slot[lo:hi] - q, pos[rows[lo:hi]]] = amp[rows[lo:hi]]
+        for q in range(q, end, per):
+            top = min(q + per, end)
+            mat = np.zeros((top - q, L), dtype=np.complex128)
+            if top - q == len(starts):  # one chunk holds every group
+                mat[gid, pos] = amp
+            else:
+                lo, hi = gid.searchsorted((q, top)).tolist()
+                mat[gid[lo:hi] - q, pos[lo:hi]] = amp[lo:hi]
             spectrum = np.fft.fft(mat) if inverse else L * np.fft.ifft(mat)
             r_idx, bins = (np.abs(spectrum) > cut).nonzero()
             total += len(bins) * (d // L)
             if total > _MAX_DFT_OUTPUT:
                 raise QStateError("DFT output exceeds sparse capacity")
-            kept.append((L, groups[q + r_idx], bins, spectrum[r_idx, bins]))
-    vals, amps = np.empty((total, len(others) + 1), np.int64), np.empty(total, np.complex128)
-    first, end = state._vals[order[starts]], 0
+            kept.append((L, r_idx + q, bins, spectrum[r_idx, bins]))
+    vals, amps, end = np.empty((total, state._vals.shape[1]), np.int64), np.empty(total, np.complex128), 0
     for L, g, bins, spec in kept:
         cs = bins[:, None] + np.arange(0, d, L)
         twiddle = np.exp((_TWO_PI / d) * 1j * ((cs * a0[g][:, None]) % d))
@@ -363,7 +382,7 @@ def dft(state: SparseState, reg: str, inverse: bool = False) -> SparseState:
         vals[at:end] = first[g].repeat(d // L, axis=0)
         vals[at:end, col] = cs.ravel()
     if len(lens) > 1:
-        back = np.concatenate([g.repeat(d // L) for L, g, _, _ in kept]).argsort(kind="stable")
+        back = np.concatenate([by_len[g].repeat(d // L) for L, g, _, _ in kept]).argsort(kind="stable")
         vals, amps = vals[back], amps[back]
     return state._replace(vals, amps)
 
@@ -403,9 +422,9 @@ def joint_marginal(
     if state.num_entries == 0:
         raise QStateError("cannot measure a state with no entries")
     sub = state._vals[:, cols]
-    order, starts, sizes = _group_rows(sub)
+    order, _, starts, gid = _group_rows(_row_key(sub, _radix([state.layout.dims[c] for c in cols])))
     group = np.empty(state.num_entries, dtype=np.int64)
-    group[order] = np.repeat(np.arange(len(starts)), sizes)
+    group[order] = gid
     mass = np.bincount(group, weights=state.probabilities(), minlength=len(starts))
     return sub[order[starts]], group, mass
 

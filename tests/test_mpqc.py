@@ -722,6 +722,32 @@ def test_malformed_layer_is_a_violation_not_an_exception(layer):
     assert report.violations == tuple(f"message {start + i}: malformed layer {layer!r}" for i in range(vote.size))
 
 
+@pytest.mark.parametrize("kind, payload, violation", [
+    (KIND_INT, None, "malformed payload None"),
+    (KIND_INT, ["x"], "malformed payload ['x']"),
+    (KIND_HANDOFF, None, "malformed payload None"),
+    (KIND_INT, {"role": ["x"], "value": 3, "layer": 0}, "unknown message role ['x']"),
+], ids=["none", "list", "handoff", "unhashable-role"])
+def test_malformed_payload_or_role_is_a_violation_not_an_exception(kind, payload, violation):
+    res = gcd_protocol([12, 18], 5, seed=0)
+    res.transcript._log.append(TranscriptMessage(0, 1, 0, kind, payload, {}))
+    report = leakage_audit(res, [12, 18])
+    want = (f"message {len(res.transcript.messages) - 1}: {violation}",)
+    if kind == KIND_HANDOFF:
+        want += ("register handoffs do not form connected ring passes",)
+    assert report == AuditReport(False, want, report.messages_checked)
+
+
+def test_an_unlayered_message_is_held_against_the_secrets_argument():
+    # 35 is no layer's input, so only the secrets argument can flag it
+    res = gcd_protocol([12, 18], 5, seed=0)
+    assert all(35 not in inputs for _, inputs in res.layer_inputs)
+    res.transcript.log(KIND_INT, 0, BROADCAST, {"role": ROLE_MODULUS, "value": 35})
+    raw = f"message {len(res.transcript.messages) - 1}: raw secret value 35 on the wire"
+    assert raw in leakage_audit(res, [12, 18, 35]).violations
+    assert raw not in leakage_audit(res, []).violations
+
+
 @pytest.mark.parametrize("sender", [-1, True])
 def test_masked_multiple_from_a_non_party_sender_is_a_violation(sender):
     # 12 is a masked multiple of both inputs, so only the sender is at fault:

@@ -1,5 +1,7 @@
 """Tests for Fourier sampling, the probabilistic baseline, and the exact finder."""
 
+import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -727,6 +729,36 @@ def test_mark_key_is_exactly_the_good_set_on_the_support(r):
                 bits.setdefault(key, set()).add(goodness(d, m, j).fn(k, b).tobytes())
         assert all(len(patterns) == 1 for patterns in bits.values())
         assert len(set().union(*bits.values())) == len(bits)
+
+
+def _digest_functions():
+    """150 seeded functions with r <= 20 and m <= 80, a third of them with values colliding mod m."""
+    gen = np.random.default_rng(33)
+    for i in range(150):
+        r = int(gen.integers(2, 21))
+        m = r * int(gen.integers(1, 80 // r + 1))
+        values = gen.permutation(m)[:r] + (m if i % 3 == 0 else 0)
+        yield PeriodicFunction.from_table(values[np.arange(m) % r]), r, m
+
+
+# recorded with qstate's lexsort grouping: the int64-keyed grouping must leave every byte as it was
+_PROGRAM_SHA256 = "19f9d8b0e07f4901ab841219aaa8f3310bff1212cbe7fde227ccad581167035c"
+
+
+def test_seeded_program_engine_is_byte_identical():
+    # the literal engine's records, good_mass bytes included, and the rows
+    # and amplitude bytes of one full boost per function
+    digest = hashlib.sha256()
+    for seed, (f, r, m) in enumerate(_digest_functions()):
+        period, trace = eqpa(f, np.random.default_rng(seed), engine="program")
+        digest.update(json.dumps([period, trace.sweeps, trace.fourier_calls]).encode())
+        for rec in trace.records:
+            digest.update(json.dumps([*rec[:6], rec.good_mass.hex(), *rec[7:]]).encode())
+        d = r if seed % 2 else 1
+        j = seed % (m.bit_length() + 1) - 1
+        boosted = boost_from_half(marked_program(f, d, j), goodness(d, m, j)).state
+        digest.update(boosted._vals.tobytes() + boosted._amps.tobytes())
+    assert digest.hexdigest() == _PROGRAM_SHA256
 
 
 def test_program_engine_peak_memory_is_one_boost():

@@ -21,6 +21,7 @@ from qperiod.qstate import (
     controlled_subtract,
     dft,
     good_mass,
+    joint_marginal,
     measure,
     measure_joint,
     phase_flip,
@@ -33,6 +34,7 @@ from qperiod.qstate import (
     _MAX_DFT_OUTPUT,
     _TWO_PI,
     PRUNE_EPS,
+    _radix,
     _walk,
 )
 
@@ -668,6 +670,133 @@ def test_measure_joint_of_empty_state_raises():
     empty = SparseState(lay, np.empty((0, 2), dtype=np.int64), np.empty(0))
     with pytest.raises(QStateError, match="no entries"):
         measure_joint(empty, ("h",), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the int64-keyed grouping against the lexsort grouping it replaced
+
+
+def lexsort_group_rows(keys):
+    """_group_rows as it was before rows were grouped by one int64 key."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(keys.shape[0])
+    srt = keys[order]
+    new = (srt[1:] != srt[:-1]).any(axis=1)
+    bounds = np.concatenate(([True], new, [True])).nonzero()[0]
+    return order, bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def lexsort_dft(state, reg, inverse=False):
+    """dft as it was before rows were grouped by one int64 key, kept as the reference."""
+    col = state._col(reg)
+    d = state.layout.dims[col]
+    if d > _MAX_DFT_DIM:
+        raise QStateError(f"register dimension {d} too large for exact DFT")
+    if d == 1 or state.num_entries == 0:
+        return state
+
+    others = [i for i in range(state._vals.shape[1]) if i != col]
+    order, starts, sizes = lexsort_group_rows(state._vals[:, others])
+    gid = np.arange(len(starts)).repeat(sizes)  # group of each sorted entry
+    j = state._vals[order, col]
+    amp = state._amps[order]
+    a0 = np.minimum.reduceat(j, starts)
+    diffs = j - a0[gid]
+    p = np.gcd(np.gcd.reduceat(diffs, starts), d)  # gcd(0, d) == d for single entries
+    length = d // p
+    pos = diffs // p[gid]
+    lens = sorted(set(length.tolist()))
+    # a chunk buffer holds max(_DFT_CHUNK_CELLS, L) cells at most: check L first
+    if lens[-1] > _MAX_DFT_OUTPUT:
+        raise QStateError("DFT buffer exceeds sparse capacity")
+    cut = PRUNE_EPS * math.sqrt(d)
+    inv_sqrt_d = 1.0 / math.sqrt(d)
+    a0 = -a0 if inverse else a0  # the inverse twiddle conjugates: exponent -c*a mod d
+    total, kept = 0, []
+    for L in lens:
+        of_len = length == L
+        groups = of_len.nonzero()[0]
+        rows = of_len[gid].nonzero()[0]  # their entries, in group order
+        slot = (of_len.cumsum() - 1)[gid[rows]]  # matrix row of each entry
+        per = max(1, _DFT_CHUNK_CELLS // L)
+        for q in range(0, len(groups), per):
+            lo, hi = slot.searchsorted((q, q + per)).tolist()
+            mat = np.zeros((min(per, len(groups) - q), L), dtype=np.complex128)
+            mat[slot[lo:hi] - q, pos[rows[lo:hi]]] = amp[rows[lo:hi]]
+            spectrum = np.fft.fft(mat) if inverse else L * np.fft.ifft(mat)
+            r_idx, bins = (np.abs(spectrum) > cut).nonzero()
+            total += len(bins) * (d // L)
+            if total > _MAX_DFT_OUTPUT:
+                raise QStateError("DFT output exceeds sparse capacity")
+            kept.append((L, groups[q + r_idx], bins, spectrum[r_idx, bins]))
+    vals, amps = np.empty((total, len(others) + 1), np.int64), np.empty(total, np.complex128)
+    first, end = state._vals[order[starts]], 0
+    for L, g, bins, spec in kept:
+        cs = bins[:, None] + np.arange(0, d, L)
+        twiddle = np.exp((_TWO_PI / d) * 1j * ((cs * a0[g][:, None]) % d))
+        at, end = end, end + cs.size
+        amps[at:end] = (spec[:, None] * twiddle * inv_sqrt_d).ravel()
+        vals[at:end] = first[g].repeat(d // L, axis=0)
+        vals[at:end, col] = cs.ravel()
+    if len(lens) > 1:
+        back = np.concatenate([g.repeat(d // L) for L, g, _, _ in kept]).argsort(kind="stable")
+        vals, amps = vals[back], amps[back]
+    return state._replace(vals, amps)
+
+
+def lexsort_joint_marginal(state, regs):
+    """joint_marginal as it was before rows were grouped by one int64 key."""
+    sub = state._vals[:, [state._col(r) for r in regs]]
+    order, starts, sizes = lexsort_group_rows(sub)
+    group = np.empty(state.num_entries, dtype=np.int64)
+    group[order] = np.repeat(np.arange(len(starts)), sizes)
+    return sub[order[starts]], group, np.bincount(group, weights=state.probabilities(), minlength=len(starts))
+
+
+def spread_state(dims, n, seed, stride=1):
+    """random_sparse_state over ``dims``, where a register past 2^20 holds
+    up to 64 values spread over its whole range."""
+    small = [d if d <= 1 << 20 else 64 for d in dims]
+    base = random_sparse_state(small, n, seed, stride)
+    big = np.array([d > 1 << 20 for d in dims])
+    scale = np.array([(d - 1) // 63 if d > 1 << 20 else 1 for d in dims], dtype=np.int64)
+    lay = RegisterLayout.of(*((f"r{i}", d) for i, d in enumerate(dims)))
+    return SparseState(lay, np.where(big, base._vals * scale, base._vals), base._amps)
+
+
+_PAST_INT64 = [3 << 59, 8]  # 1.5 * 2^63: a key over both registers would wrap
+
+
+@pytest.mark.parametrize("dims, n, stride, col", [
+    ([24, 5, 3], 60, 1, 0),  # several lengths in one call
+    ([12, 64], 200, 2, 0),  # lengths 1, 2, 3 and 6
+    ([64, 64, 2], 8192, 1, 0),  # 128 groups of one length over two chunks
+    ([64, 200, 2], 1000, 1, 0),  # several lengths, length 64 over several chunks
+    ([2, 40, 7], 300, 1, 0),  # d = 2: pairs and single entries
+    ([5, 9, 4], 3, 1, 1),  # three single-entry groups
+    ([16, 2, 2, 2], 64, 2, 0),  # the marked program's shape: (index, value, b, good)
+    (_PAST_INT64, 400, 1, 1),  # keyed dimensions past 2^63 but not 2^64: the lexsort path
+    ([8, 1 << 40, 1 << 40], 300, 1, 0),  # 2^83: the lexsort path, a small register first
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_keyed_grouping_is_byte_identical_to_the_lexsort_grouping(dims, n, stride, col, seed):
+    state = spread_state(dims, n, seed, stride)
+    reg = f"r{col}"
+    assert (_radix(dims) is None) == (math.prod(dims) >= 1 << 63)
+    for inverse in (False, True):
+        assert_same_state(dft(state, reg, inverse), lexsort_dft(state, reg, inverse))
+    for regs in ([reg], [f"r{i}" for i in range(len(dims))][::-1], [f"r{(col + 1) % len(dims)}", reg]):
+        got, want = joint_marginal(state, regs), lexsort_joint_marginal(state, regs)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_mixed_radix_keys_stop_short_of_int64():
+    # the key of the largest row is the product of the dimensions minus one
+    assert _radix((2**63 - 1,)) == [1]
+    assert _radix((2**62 - 1, 2)) == [2, 1]
+    for dims in [(2**62, 2), (2**63,), (3 << 59, 8), (1 << 40, 1 << 40)]:
+        assert _radix(dims) is None
+        assert RegisterLayout.of(*((f"r{i}", d) for i, d in enumerate(dims)))._dft_strides is None
 
 
 _ONE_REGISTER = RegisterLayout.of(("x", 2))
