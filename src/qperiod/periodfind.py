@@ -29,20 +29,13 @@ then one literal boost per distinct good set on the support (d and the
 clipped window of 2^j), whose (index, b, good) marginal it keeps, so
 repeated iterations draw from the cached marginal.
 Both consume one rng draw per iteration and produce identical traces.
-Once d = r no outcome can update d, so the rest of the run is known in
-advance; the block engine then takes all of its draws in one
-``rng.random(count)``, which yields the same values and leaves the
-generator in the same state as ``count`` single draws.  Either engine keeps
-that settled tail in the :class:`EqpaTrace` as one tuple of its outcomes,
-which the first read of the trace's ``records`` expands into per-iteration
-records; an ``on_iteration`` callback is fed the tail from that read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,8 +258,8 @@ def marked_program(f: PeriodicFunction, d: int, j: int) -> ReversibleProgram:
 class EqpaRecord(NamedTuple):
     """One iteration of an EQPA run.
 
-    A named tuple because one is built per iteration that is read, and it
-    builds in a fraction of a frozen dataclass's time.
+    A named tuple because one is built per iteration, and it builds in a
+    fraction of a frozen dataclass's time.
     """
 
     sweep: int
@@ -282,46 +275,18 @@ class EqpaRecord(NamedTuple):
     fourier_calls: int
 
 
+@dataclass
 class EqpaTrace:
-    """Per-iteration log of one exact period-finding run.
+    """Per-iteration log of one exact period-finding run."""
 
-    The settled tail of a run (the sweep at d = r) is kept as one private
-    tuple: its sweep number, the Fourier count before it, d, its js and
-    the sampler's ``settled`` outcomes, which may be read only once.
-    No outcome there updates d, so the first read of ``records`` builds
-    the tail's records from those alone and keeps them.
-    """
-
-    def __init__(self) -> None:
-        self._records: list[EqpaRecord] = []
-        self._tail: tuple | None = None  # (sweep, fourier_calls, d, js, outcomes)
-        self.fourier_calls = 0  # each transform comes with one oracle pass, so this counts both
-        self.sweeps = 0
-
-    @property
-    def records(self) -> list[EqpaRecord]:
-        if self._tail is not None:
-            sweep, calls, d, js, outcomes = self._tail
-            self._tail = None
-            for j, (k, b, chi, mass) in zip(js, outcomes):
-                calls += 3
-                self._records.append(EqpaRecord(sweep, j, d, k, b, chi, mass, abs(mass - 0.5) <= MASS_TOL,
-                                                False, d, calls))
-        return self._records
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EqpaTrace):
-            return NotImplemented
-        return (self.records, self.fourier_calls, self.sweeps) == (other.records, other.fourier_calls, other.sweeps)
-
-    def __repr__(self) -> str:
-        return f"EqpaTrace(records={self.records!r}, fourier_calls={self.fourier_calls}, sweeps={self.sweeps})"
+    records: list[EqpaRecord] = field(default_factory=list)
+    fourier_calls: int = 0  # each transform comes with one oracle pass, so this counts both
+    sweeps: int = 0
 
 
 # ---------------------------------------------------------------------------
 # samplers: one boosted-and-measured iteration per ``sample(d, j, rng)``
-# call, one rng draw each; ``settled(d, js, rng)`` gives the outcomes of the
-# iterations js at d = r, with every draw taken before it returns
+# call, one rng draw each
 
 
 _TWO53 = 1 << 53  # numpy's doubles from rng.random() are U / 2^53 for an integer U < 2^53
@@ -381,17 +346,17 @@ class _BlockSampler:
 
     At d = r the run is r' = 1: both outcomes (0, b) are bad with weight 4
     of N^3 = 8, so the draw U/2^53 picks k = floor(U*r/2^53)*step and b =
-    bit 52 of U*r, with chi = 0 and good mass 0.  No update can follow, so
-    :meth:`settled` takes the draws of all requested iterations in one
-    ``rng.random(count)`` (the same values, and the same generator state
-    after, as ``count`` single draws) and maps them in that closed form as
-    they are read.
+    bit 52 of U*r, with chi = 0 and good mass 0, which :meth:`sample`
+    returns without building the run.
     """
 
     def __init__(self, m: int, r: int):
         self.r, self.step = r, m // r
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
+        if d == self.r:
+            x = int(rng.random() * _TWO53) * d
+            return (x >> 53) * self.step, (x >> 52) & 1, 0, 0.0
         run = _Run(*_mark_run(self.r, self.step, d, j))
         rb = run.rb
         # the draw u = U/2^53 picks copy q = floor(u*d) <= d - 1, then the
@@ -410,15 +375,6 @@ class _BlockSampler:
         below += run.w_good if run.good(lo, 0) else run.w_bad
         b = 0 if below * _TWO53 > target else 1
         return (q * rb + lo) * self.step, b, int(run.good(lo, b)), run.n_good / (2 * rb)
-
-    def settled(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
-        step, r = self.step, self.r
-
-        def outcome(u: float) -> tuple[int, int, int, float]:
-            x = int(u * _TWO53) * r
-            return (x >> 53) * step, (x >> 52) & 1, 0, 0.0
-
-        return map(outcome, rng.random(len(js)).tolist())
 
 
 class _ProgramSampler:
@@ -462,9 +418,6 @@ class _ProgramSampler:
         k, b, chi = outcomes[_walk(cumulative, rng)]
         return k, b, chi, mass_before
 
-    def settled(self, d: int, js: Sequence[int], rng: np.random.Generator) -> Iterable[tuple[int, int, int, float]]:
-        return [self.sample(d, j, rng) for j in js]
-
 
 # ---------------------------------------------------------------------------
 # the algorithms
@@ -486,10 +439,8 @@ def eqpa(
 
     Returns the period and a per-iteration trace.  The result is
     seed-independent; only the trace contents vary with the rng, which
-    gives one draw to each iteration in order, whichever engine runs and
-    however the sampler batches them.  ``on_iteration`` sees every record
-    in order; without it, the records of the settled tail (from d = r on)
-    are built only when ``trace.records`` is first read.  Raises
+    gives one draw to each iteration in order, whichever engine runs.
+    ``on_iteration`` is called with each record as it is built.  Raises
     :class:`PromiseViolation` if the promise fails.  It is verified once,
     before either engine runs: from declared ``residues`` without
     evaluating f (block engine only), or by :func:`_analyze`, which returns
@@ -509,7 +460,7 @@ def eqpa(
     trace = EqpaTrace()
     records = trace.records
     d = 1
-    while d != r:  # one sweep per d: it updates d unless d = r
+    while True:  # one sweep per d: it updates d unless d = r, whose sweep ends the run
         trace.sweeps += 1
         for j in _sweep(m, d):
             k, b, chi, mass = sampler.sample(d, j, rng)
@@ -524,17 +475,8 @@ def eqpa(
             if informative:
                 break
         else:
-            break  # nothing updated d: the final check refuses it
+            break  # nothing updated d: at d = r nothing can, and the final check refuses any other d
         d = d_after
-    head = len(records)
-    if d == r:  # the sweep that confirms d is settled
-        left = _sweep(m, d)
-        trace.sweeps += 1
-        trace._tail = (trace.sweeps, trace.fourier_calls, d, left, sampler.settled(d, left, rng))
-        trace.fourier_calls += 3 * len(left)
-    if on_iteration is not None:
-        for record in trace.records[head:]:
-            on_iteration(record)
 
     _final_check(f, d, r)
     return d, trace

@@ -101,7 +101,26 @@ class TestLcmProtocol:
             res = lcm_protocol(secrets, 5, seed=3)
             assert res.counters["rounds"] == len(secrets) * res.counters["oracle_passes"]
 
-    def test_pass_count_within_fourier_bound(self):
+    def test_pass_count_within_fourier_bound(self, monkeypatch):
+        import qperiod.mpqc as mpqc_mod
+
+        traces = []
+
+        def spy(*args, **kwargs):
+            period, trace = eqpa(*args, **kwargs)
+            traces.append(trace)
+            return period, trace
+
+        monkeypatch.setattr(mpqc_mod, "eqpa", spy)
+        # one record per iteration, the confirming sweep's included, and each
+        # iteration is three Fourier calls
+        for secrets, bits in (([1, 1], 2), ([4, 6, 10], 5), ([4093, 4091], 12), ([3, 5, 7, 8], 4)):
+            traces.clear()
+            res = lcm_protocol(secrets, bits, seed=3)
+            assert res.output == math.lcm(*secrets)
+            (trace,) = traces
+            assert 3 * len(trace.records) == trace.fourier_calls == res.counters["fourier_calls"]
+
         res = lcm_protocol([4, 6, 10], 5, seed=1)
         k = None
         for msg in res.transcript.messages:
@@ -779,7 +798,7 @@ def test_lcm_run_logs_its_ring_passes_as_one_record():
 
 
 # ---------------------------------------------------------------------------
-# vote records, bulk audits and the settled EQPA tail against the per-message log
+# vote records and bulk audits against the per-message log
 
 
 def _sweep_case(kind, n_parties, seed):
@@ -931,40 +950,6 @@ def test_ring_check_agrees_with_the_per_hop_walk():
 
     check()
     assert seen == {True, False, "a handoff before a ring on its span"}
-
-
-def test_lcm_run_builds_no_records_for_its_settled_tail(monkeypatch):
-    import qperiod.mpqc as mpqc_mod
-    import qperiod.periodfind as periodfind_mod
-
-    built = []
-
-    class CountingRecord(periodfind_mod.EqpaRecord):
-        __slots__ = ()
-
-        def __new__(cls, *args, **kwargs):
-            built.append(None)
-            return super().__new__(cls, *args, **kwargs)
-
-    runs = []
-
-    def spy(*args, **kwargs):
-        period, trace = eqpa(*args, **kwargs)
-        runs.append((trace, len(built)))
-        return period, trace
-
-    monkeypatch.setattr(periodfind_mod, "EqpaRecord", CountingRecord)
-    monkeypatch.setattr(mpqc_mod, "eqpa", spy)
-    for secrets, bits in (([1, 1], 2), ([4, 6, 10], 5), ([4093, 4091], 12), ([3, 5, 7, 8], 4)):
-        built.clear()
-        runs.clear()
-        res = lcm_protocol(secrets, bits, seed=3)
-        assert res.output == math.lcm(*secrets)
-        ((trace, built_in_run),) = runs
-        records = trace.records
-        head = next((i + 1 for i in reversed(range(len(records))) if records[i].updated), 0)
-        assert built_in_run == head < len(records)
-        assert len(records) * 3 == trace.fourier_calls == res.counters["fourier_calls"]
 
 
 @pytest.mark.parametrize("protocol", [psu_protocol, psi_protocol], ids=["psu", "psi"])

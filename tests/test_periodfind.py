@@ -911,7 +911,7 @@ def test_spot_checked_branch_rejects_repeats_and_non_dividing_returns(table):
 
 
 # ---------------------------------------------------------------------------
-# the sweep schedule, and the settled tail against the per-iteration loop
+# the sweep schedule against the per-iteration loop, and the closed form at d = r
 
 
 def _certifying_sweep(m, d):
@@ -924,8 +924,10 @@ def _certifying_sweep(m, d):
 
 
 def _per_iteration_eqpa(f, rng, pruned=True):
-    """The block engine's loop with one ``sample`` call, and one rng draw,
-    per iteration, settled or not: the reference for the batched tail.
+    """The block engine's loop written out, one ``sample`` call and one rng
+    draw per iteration: the reference for eqpa's schedule and counters.
+    Its draws at d = r take ``sample``'s closed form too, which
+    :func:`_generic_block_sample` checks.
 
     ``pruned`` runs eqpa's schedule: the windows of :func:`_certifying_sweep`,
     starting a new sweep at each update.  Otherwise it runs the paper's full
@@ -1025,6 +1027,7 @@ def test_settled_tail_matches_per_iteration_loop():
         assert period == ref_period == full_period == r
         assert trace.records == ref.records == seen_records
         assert (trace.fourier_calls, trace.sweeps) == (ref.fourier_calls, ref.sweeps)
+        assert trace.sweeps == trace.records[-1].sweep
         assert trace.fourier_calls <= full.fourier_calls
         assert rng.random() == ref_rng.random()
         if r == 1:
@@ -1039,28 +1042,104 @@ def test_settled_tail_matches_per_iteration_loop():
 
 
 @pytest.mark.parametrize("engine", ["block", "program"])
-def test_settled_tail_is_expanded_once_into_the_hooked_records(engine):
+def test_hooked_and_unhooked_runs_match_per_iteration_loop(engine):
     for r, m, seed in [(1, 8, 0), (6, 48, 3), (12, 48, 1), (5, 40, 2), (16, 64, 7)]:
         f = PeriodicFunction.modular(r, m)
         seen = []
-        _, hooked = eqpa(f, np.random.default_rng(seed), engine=engine, on_iteration=seen.append)
+        hooked_rng = np.random.default_rng(seed)
+        _, hooked = eqpa(f, hooked_rng, engine=engine, on_iteration=seen.append)
         rng = np.random.default_rng(seed)
-        _, lazy = eqpa(f, rng, engine=engine)
+        _, plain = eqpa(f, rng, engine=engine)
         ref_rng = np.random.default_rng(seed)
         _, ref = _per_iteration_eqpa(f, ref_rng)
         full_period, full = _per_iteration_eqpa(f, np.random.default_rng(seed), pruned=False)
-        assert full_period == r and lazy.fourier_calls <= full.fourier_calls
-        assert lazy._tail is not None and hooked._tail is None
-        first = lazy.records
-        assert lazy._tail is None
-        assert first == lazy.records == seen == hooked.records
-        assert (lazy.fourier_calls, lazy.sweeps) == (hooked.fourier_calls, hooked.sweeps) == (ref.fourier_calls, ref.sweeps)
-        assert rng.random() == ref_rng.random()
-        for a, b in zip(first, ref.records, strict=True):
+        assert full_period == r and plain.fourier_calls <= full.fourier_calls
+        assert plain.records == seen == hooked.records
+        assert (plain.fourier_calls, plain.sweeps) == (hooked.fourier_calls, hooked.sweeps) == (ref.fourier_calls, ref.sweeps)
+        assert rng.bit_generator.state == hooked_rng.bit_generator.state == ref_rng.bit_generator.state
+        for a, b in zip(plain.records, ref.records, strict=True):
             assert a._replace(good_mass=0.0) == b._replace(good_mass=0.0)
             assert a.good_mass == pytest.approx(b.good_mass, abs=1e-9)
         if engine == "block":
-            assert first == ref.records
+            assert plain.records == ref.records
+
+
+def _generic_block_sample(sampler, d, j, rng):
+    """``_BlockSampler.sample`` without its shortcut at d = r: the walk over
+    the run of (d, j), which is r' = 1 there.  The reference for the closed
+    form."""
+    run = periodfind._Run(*periodfind._mark_run(sampler.r, sampler.step, d, j))
+    rb = run.rb
+    q, rest = divmod(int(rng.random() * periodfind._TWO53) * d, periodfind._TWO53)
+    target = rest * (2 * rb) ** 3
+    lo, hi, below = 0, rb, 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        w = run.weight_before(mid)
+        if w * periodfind._TWO53 > target:
+            hi = mid
+        else:
+            lo, below = mid, w
+    below += run.w_good if run.good(lo, 0) else run.w_bad
+    b = 0 if below * periodfind._TWO53 > target else 1
+    return (q * rb + lo) * sampler.step, b, int(run.good(lo, b)), run.n_good / (2 * rb)
+
+
+_CLOSED_FORM_CASES = [
+    (r, m)
+    for r in (1, 2, 3, 4095, 1 << 17)
+    for m in sorted({r, 2 * r, 3 * r, 8 * r, (1 << 20) * r, (1 << 40) // r * r})
+]
+
+
+def test_closed_form_at_d_equal_r_matches_the_generic_walk():
+    # every draw of a run, replayed by the generic walk on a second generator
+    # from the hook: equal outcomes and generator states after each draw, and
+    # the last sweep is the whole sweep at d = r
+    for r, m in _CLOSED_FORM_CASES:
+        f = PeriodicFunction(modulus=m, evaluator=lambda x, r=r: x % r, residues=(r,))
+        sampler = _BlockSampler(m, r)
+        for seed in range(40):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+            def replay(rec):
+                assert (rec.k, rec.b, rec.chi, rec.good_mass) == _generic_block_sample(sampler, rec.d_before, rec.j, ref_rng)
+                assert type(rec.good_mass) is float
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+            period, trace = eqpa(f, rng, on_iteration=replay)
+            assert period == r
+            settled = [rec for rec in trace.records if rec.d_before == r]
+            assert [rec.j for rec in settled] == periodfind._sweep(m, r)
+            assert trace.records[len(trace.records) - len(settled):] == settled
+            assert all(rec.sweep == trace.sweeps and not rec.updated for rec in settled)
+
+
+class _PlacedDraws:
+    """A stand-in generator whose ``random()`` returns U / 2^53 for each given U in turn."""
+
+    def __init__(self, us):
+        self.us = iter(us)
+
+    def random(self):
+        return next(self.us) / (1 << 53)
+
+
+def test_closed_form_at_d_equal_r_across_multiples_of_2_52():
+    # U*r crosses n * 2^52 between U = u0 - 1 and u0: its bit 52 (the coin b)
+    # or its bits from 53 up (the support index) change there
+    two52 = 1 << 52
+    for r in (1, 2, 3, 5, 4095, 1 << 17, (1 << 20) + 1):
+        ns = range(1, 2 * r) if r <= 5 else (1, 2, 3, r - 1, r, r + 1, 2 * r - 1)
+        for c in (1, 3, 1 << 10):
+            sampler = _BlockSampler(r * c, r)
+            for n in ns:
+                u0 = -(-n * two52 // r)
+                us = [u0 - 1, u0, u0 + 1]
+                stub, ref_stub = _PlacedDraws(us), _PlacedDraws(us)
+                got = [sampler.sample(r, -1, stub) for _ in us]
+                assert got == [_generic_block_sample(sampler, r, -1, ref_stub) for _ in us], (r, c, n)
+                assert got[0] != got[1]
 
 
 # ---------------------------------------------------------------------------
