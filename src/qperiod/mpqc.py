@@ -145,26 +145,30 @@ class _Vote(NamedTuple):
 
     @property
     def size(self) -> int:
-        return len(self.tallies) ** 2 + 2
+        """The candidate, each share sent (all but the diagonal), each tally and the result."""
+        return 2 + len(self.tallies) + sum(len(row) - (i < len(row)) for i, row in enumerate(self.shares))
 
     def _audit(self, idx: int, violations: list[str], layer_inputs: dict, secrets: list[int]) -> int:
         """Audit the vote, whose first message has index ``idx``, as :func:`leakage_audit` describes."""
         inputs = _inputs_of(self.layer, layer_inputs)
+        n = len(self.tallies) if inputs is None else len(inputs)
+        shaped = [len(self.tallies), *map(len, self.shares)] == [n] * (n + 1)  # n tallies, n rows of n shares
+        if not shaped:
+            violations.append(f"message {idx}: vote shares and tallies do not fit {n} parties")
         values = [v for row in self.shares for v in row]
         values += self.tallies
         ints = {*map(type, values)} <= {int, bool} or all(isinstance(v, int) for v in values)
-        if not (inputs is not None and ints and 0 <= min(values) and max(values) <= len(inputs)
+        if not (shaped and inputs is not None and ints and 0 <= min(values) and max(values) <= n
                 and isinstance(self.candidate, int) and self.candidate >= 2 and isinstance(self.result, bool)):
             for offset, msg in enumerate(self.messages()):
                 _check_message(msg, idx + offset, violations, layer_inputs, secrets)
-        if ints:
-            parties = len(self.tallies)
-            modulus = parties + 1
+        if ints and shaped:
+            modulus = n + 1
             if [sum(column) % modulus for column in zip(*self.shares)] != self.tallies:
-                violations.append(f"message {idx + parties * (parties - 1) + 1}: vote tallies {self.tallies} "
+                violations.append(f"message {idx + n * (n - 1) + 1}: vote tallies {self.tallies} "
                                   f"are not the column sums of the shares mod {modulus}")
             if self.result != (sum(self.tallies) % modulus == 0):
-                violations.append(f"message {idx + parties * parties + 1}: "
+                violations.append(f"message {idx + n * n + 1}: "
                                   f"vote result {self.result} contradicts the tallies")
         return self.size
 

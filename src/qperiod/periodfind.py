@@ -304,34 +304,6 @@ def _mark_run(r: int, step: int, d: int, j: int) -> tuple[int, int]:
     return rb, min(((1 << j) if j >= 0 else 0) // (step * d), (rb + 1) // 2 - 1)
 
 
-class _Run:
-    """The 2r' outcomes (t, b), t < r', of one copy in the block basis.
-
-    The outcomes are marked as :func:`_mark_run` describes, with v_t = t.
-    With N = 2r' outcomes of which G are good, a = G/N, the boost with both
-    phases i scales good amplitudes by 1 - 2i(1-a) and bad ones by
-    -i(1-2a), so a good outcome has weight N^2 + 4(N-G)^2 and a bad one
-    (N-2G)^2, in units of 1/(d N^3): a run sums to N^3.
-    """
-
-    __slots__ = ("rb", "window", "half", "n_good", "w_good", "w_bad")
-
-    def __init__(self, rb: int, window: int):
-        self.rb, self.window = rb, window
-        self.half = (rb + 1) // 2
-        self.n_good = count = 2 * (rb - self.half) + window  # window < ceil(r'/2) <= r'
-        n = 2 * rb
-        self.w_good = n * n + 4 * (n - count) ** 2
-        self.w_bad = (n - 2 * count) ** 2
-
-    def good(self, t: int, b: int) -> bool:
-        return t >= self.half or (b == 1 and 1 <= t <= self.window)
-
-    def weight_before(self, t: int) -> int:
-        count = 2 * max(0, t - self.half) + max(0, min(t - 1, self.window))  # good among the 2t below t <= r'
-        return self.w_good * count + self.w_bad * (2 * t - count)
-
-
 class _BlockSampler:
     """Exact iteration in the invariant block basis |k>|G_k>|b>|mark>.
 
@@ -339,42 +311,46 @@ class _BlockSampler:
     the coin), and the boost acts by two scalar factors (good/bad).  The
     sampler takes d | r, as every divisor :func:`eqpa` holds is: the rep
     of support index t then has period r' = r/d in t, so the 2r outcomes
-    are d copies of one :class:`_Run`, whose good counts have a closed
-    form.  One rng draw walks the outcomes in lexicographic order by a
-    binary search on the integer cumulative weight, so an iteration costs
-    O(log r') and allocates no array.
+    are d copies of one run of 2r' outcomes (t, b), t < r', marked as
+    :func:`_mark_run` describes with v_t = t.  With N = 2r' outcomes of
+    which G are good, a = G/N, the boost with both phases i scales good
+    amplitudes by 1 - 2i(1-a) and bad ones by -i(1-2a), so a good outcome
+    has weight N^2 + 4(N-G)^2 and a bad one (N-2G)^2, in units of
+    1/(d N^3): a run sums to N^3.
 
-    At d = r the run is r' = 1: both outcomes (0, b) are bad with weight 4
-    of N^3 = 8, so the draw U/2^53 picks k = floor(U*r/2^53)*step and b =
-    bit 52 of U*r, with chi = 0 and good mass 0, which :meth:`sample`
-    returns without building the run.
+    In lexicographic order the pairs (t, 0), (t, 1) of a run fall into
+    four segments of constant pair weight: t = 0 is (bad, bad), 1 <= t <=
+    window is (bad, good), window < t < ceil(r'/2) is (bad, bad) and t >=
+    ceil(r'/2) is (good, good).  One rng draw picks the copy, then one
+    divmod inside the segment its target falls in gives t and one
+    comparison gives b, so an iteration costs O(1) and allocates no array.
+    At d = r the run is r' = 1, two bad outcomes (0, b) of weight 4, so
+    k = floor(U*r/2^53)*step and b is bit 52 of U*r for the draw U/2^53.
     """
 
     def __init__(self, m: int, r: int):
         self.r, self.step = r, m // r
 
     def sample(self, d: int, j: int, rng: np.random.Generator) -> tuple[int, int, int, float]:
-        if d == self.r:
-            x = int(rng.random() * _TWO53) * d
-            return (x >> 53) * self.step, (x >> 52) & 1, 0, 0.0
-        run = _Run(*_mark_run(self.r, self.step, d, j))
-        rb = run.rb
+        rb, window = _mark_run(self.r, self.step, d, j)
+        half, n = (rb + 1) // 2, 2 * rb
+        n_good = 2 * (rb - half) + window  # window < ceil(r'/2) <= r'
+        weight = (n - 2 * n_good) ** 2, n * n + 4 * (n - n_good) ** 2  # bad, good
         # the draw u = U/2^53 picks copy q = floor(u*d) <= d - 1, then the
         # first outcome of that copy whose cumulative weight exceeds
-        # (u*d - q)*N^3; weight_before(r') = N^3 bounds the search
+        # (u*d - q)*N^3; the weights are integers, so they exceed it iff
+        # they exceed its floor x
         q, rest = divmod(int(rng.random() * _TWO53) * d, _TWO53)
-        target = rest * (2 * rb) ** 3
-        lo, hi, below = 0, rb, 0  # weight_before(lo) * 2^53 <= target < weight_before(hi) * 2^53
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            w = run.weight_before(mid)
-            if w * _TWO53 > target:
-                hi = mid
-            else:
-                lo, below = mid, w
-        below += run.w_good if run.good(lo, 0) else run.w_bad
-        b = 0 if below * _TWO53 > target else 1
-        return (q * rb + lo) * self.step, b, int(run.good(lo, b)), run.n_good / (2 * rb)
+        x = rest * n**3 >> 53
+        start = 0
+        for end, good0, good1 in (1, 0, 0), (window + 1, 0, 1), (half, 0, 0), (rb, 1, 1):
+            pair = weight[good0] + weight[good1]
+            if x < (end - start) * pair:
+                t, x = divmod(x, pair)
+                b = int(x >= weight[good0])
+                return (q * rb + start + t) * self.step, b, good1 if b else good0, n_good / n
+            x -= (end - start) * pair
+            start = end
 
 
 class _ProgramSampler:

@@ -887,6 +887,18 @@ def test_vote_tally_that_is_not_its_column_sum_is_a_violation():
     assert res.transcript.messages[idx].payload["role"] == ROLE_VOTE_TALLY
 
 
+@pytest.mark.parametrize("shares, tallies", [([], []), ([[0, 1], [2]], [2, 1]), ([[0, 1], [1, 0]], [1, 1, 0])],
+                         ids=["empty", "ragged-shares", "three-tallies"])
+def test_vote_not_shaped_for_its_layer_is_a_violation_not_an_exception(shares, tallies):
+    res = lcm_protocol([4, 6], 5, seed=1)
+    first = len(res.transcript.messages)
+    res.transcript.log_vote(0, 3, shares, tallies, False)
+    report = leakage_audit(res, [4, 6])
+    ref = reference_leakage_audit(res, [4, 6])
+    assert report.violations == (f"message {first}: vote shares and tallies do not fit 2 parties", *ref.violations)
+    assert report.messages_checked == ref.messages_checked
+
+
 def test_vote_result_that_contradicts_its_tallies_is_a_violation():
     res, secrets, at = _first_vote()
     vote = res.transcript._log[at]

@@ -502,6 +502,30 @@ def test_block_sampler_matches_full_length_walk_at_wide_runs():
     assert seen == {"a = 1/2", "q = g - 1", "j = -1"}
 
 
+class _Run:
+    """The 2r' outcomes (t, b), t < r', of one copy in the block basis,
+    counted pair by pair: the reference for the sampler's four segments.
+
+    The outcomes are marked as :func:`periodfind._mark_run` describes, with
+    v_t = t; a good outcome weighs N^2 + 4(N-G)^2 and a bad one (N-2G)^2.
+    """
+
+    def __init__(self, rb, window):
+        self.rb, self.window = rb, window
+        self.half = (rb + 1) // 2
+        self.n_good = count = 2 * (rb - self.half) + window
+        n = 2 * rb
+        self.w_good = n * n + 4 * (n - count) ** 2
+        self.w_bad = (n - 2 * count) ** 2
+
+    def good(self, t, b):
+        return t >= self.half or (b == 1 and 1 <= t <= self.window)
+
+    def weight_before(self, t):
+        count = 2 * max(0, t - self.half) + max(0, min(t - 1, self.window))  # good among the 2t below t <= r'
+        return self.w_good * count + self.w_bad * (2 * t - count)
+
+
 @pytest.mark.parametrize("r, m", [(1, 4), (3, 12), (4, 8), (6, 12), (12, 24), (10, 40)])
 def test_block_sampler_weights_are_boosted_state_masses(r, m):
     f = PeriodicFunction.modular(r, m)
@@ -512,7 +536,7 @@ def test_block_sampler_weights_are_boosted_state_masses(r, m):
             masses = {}
             for (k, _, b, _), amp in boost.state.entries():
                 masses[k, b] = masses.get((k, b), 0.0) + abs(amp) ** 2
-            run = periodfind._Run(*periodfind._mark_run(r, step, d, j))
+            run = _Run(*periodfind._mark_run(r, step, d, j))
             n_cube = (2 * run.rb) ** 3
             assert run.w_good * run.n_good + run.w_bad * (2 * run.rb - run.n_good) == n_cube
             for k in range(m):
@@ -926,7 +950,7 @@ def _certifying_sweep(m, d):
 def _per_iteration_eqpa(f, rng, pruned=True):
     """The block engine's loop written out, one ``sample`` call and one rng
     draw per iteration: the reference for eqpa's schedule and counters.
-    Its draws at d = r take ``sample``'s closed form too, which
+    Its draws take ``sample``'s closed form, which
     :func:`_generic_block_sample` checks.
 
     ``pruned`` runs eqpa's schedule: the windows of :func:`_certifying_sweep`,
@@ -979,7 +1003,7 @@ def test_every_sweep_holds_a_window_of_half_mass():
         for r in divisors:
             for d in (x for x in divisors if r % x == 0 and x != r):
                 cases += 1
-                runs = [periodfind._Run(*periodfind._mark_run(r, m // r, d, j)) for j in periodfind._sweep(m, d)]
+                runs = [_Run(*periodfind._mark_run(r, m // r, d, j)) for j in periodfind._sweep(m, d)]
                 assert any(run.n_good == r // d for run in runs), (m, r, d)
     assert cases == 23081
 
@@ -1065,10 +1089,10 @@ def test_hooked_and_unhooked_runs_match_per_iteration_loop(engine):
 
 
 def _generic_block_sample(sampler, d, j, rng):
-    """``_BlockSampler.sample`` without its shortcut at d = r: the walk over
-    the run of (d, j), which is r' = 1 there.  The reference for the closed
-    form."""
-    run = periodfind._Run(*periodfind._mark_run(sampler.r, sampler.step, d, j))
+    """The walk that ``_BlockSampler.sample`` replaced: a binary search on
+    the cumulative weight of the run of (d, j), which is r' = 1 at d = r.
+    The reference for the sampler's four segments."""
+    run = _Run(*periodfind._mark_run(sampler.r, sampler.step, d, j))
     rb = run.rb
     q, rest = divmod(int(rng.random() * periodfind._TWO53) * d, periodfind._TWO53)
     target = rest * (2 * rb) ** 3
@@ -1140,6 +1164,42 @@ def test_closed_form_at_d_equal_r_across_multiples_of_2_52():
                 got = [sampler.sample(r, -1, stub) for _ in us]
                 assert got == [_generic_block_sample(sampler, r, -1, ref_stub) for _ in us], (r, c, n)
                 assert got[0] != got[1]
+
+
+def test_segments_match_the_walk_at_every_cumulative_weight_boundary(monkeypatch):
+    # every run r' <= 32 and window < ceil(r'/2), for d = 1 and d = 3: U is
+    # placed at each cumulative weight C of the 2r' outcomes (the least U
+    # whose target in copy q = C mod d reaches C) and one either side, so
+    # every segment's ends, each pair's split and the exact ties are drawn
+    draws = 0
+    for rb in range(1, 33):
+        for window in range((rb + 1) // 2):
+            monkeypatch.setattr(periodfind, "_mark_run", lambda r, step, d, j, key=(rb, window): key)
+            run, n_cube = _Run(rb, window), (2 * rb) ** 3
+            cums = {run.weight_before(t) for t in range(rb + 1)}
+            cums |= {run.weight_before(t) + (run.w_good if run.good(t, 0) else run.w_bad) for t in range(rb)}
+            for d in (1, 3):
+                sampler = _BlockSampler(2 * rb * d, rb * d)
+                us = []
+                for c in sorted(cums):
+                    u0 = -(-((c % d) * periodfind._TWO53 + -(-c * periodfind._TWO53 // n_cube)) // d)
+                    us += [u for u in (u0 - 1, u0, u0 + 1) if 0 <= u < periodfind._TWO53]
+                stub, ref_stub = _PlacedDraws(us), _PlacedDraws(us)
+                for u in us:
+                    assert sampler.sample(d, 0, stub) == _generic_block_sample(sampler, d, 0, ref_stub), (rb, window, d, u)
+                draws += len(us)
+    assert draws == 67_376
+
+
+@pytest.mark.parametrize("rb", [(1 << 17) - 1, 1 << 17])
+def test_segments_match_the_walk_at_the_widest_runs(monkeypatch, rb):
+    for window in (0, 1, (rb + 1) // 2 - 1):
+        monkeypatch.setattr(periodfind, "_mark_run", lambda r, step, d, j, key=(rb, window): key)
+        for d in (1, 3):
+            sampler = _BlockSampler(2 * rb * d, rb * d)
+            rng, ref_rng = np.random.default_rng(rb + window + d), np.random.default_rng(rb + window + d)
+            for _ in range(200):
+                assert sampler.sample(d, 0, rng) == _generic_block_sample(sampler, d, 0, ref_rng), (window, d)
 
 
 # ---------------------------------------------------------------------------
